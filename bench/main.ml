@@ -42,7 +42,7 @@ let experiments : (string * string * (quick:bool -> unit -> unit)) list =
     ("service", "daemon mode: persistent pool vs fork-per-batch dispatch", Service_bench.run);
     ("telemetry", "observability: sketch/log cost and the dispatch telemetry tax", Telemetry_bench.run);
     ("executor", "runtime: sequential vs domain-pool executor", Executor_bench.run);
-    ("gmw-slice", "bitsliced GMW: scalar vs 64-wide sliced evaluation", Slice_bench.run);
+    ("gmw-slice", "bitsliced GMW: one lane vs 64-wide sliced evaluation", Slice_bench.run);
     ("preprocess", "offline/online split: preprocessed vs inline GMW", Preprocess_bench.run);
   ]
 

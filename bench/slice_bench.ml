@@ -1,11 +1,13 @@
-(* Bitsliced GMW fast path: scalar per-instance evaluation vs 64-wide
-   int64 packing (Gmw.eval_many) on the paper's EN update circuit. Every
-   vertex of a block runs the same circuit per computation step, so the
-   engine packs up to 64 of them into one sliced evaluation; this bench
-   isolates that kernel and checks the contract — byte-identical output
-   shares, traffic matrices and round/AND/OT counters — while measuring
-   the speedup. Records the numbers behind the gmw-slice section of
-   EXPERIMENTS.md. *)
+(* Bitsliced GMW lanes: one-lane evaluation (Gmw.eval, the same kernel
+   with one instance per word) vs 64-wide int64 packing (Gmw.eval_many)
+   on the paper's EN update circuit. Every vertex of a block runs the same
+   circuit per computation step, so the engine packs up to 64 of them
+   into one sliced evaluation; this bench isolates that kernel and checks
+   the contract — byte-identical output shares, traffic matrices and
+   round/AND/OT counters whatever the lane count — while measuring what
+   the extra lanes buy. The one-lane row keeps its historical name
+   [scalar] so its counters stay gated against the committed baseline.
+   Records the numbers behind the gmw-slice section of EXPERIMENTS.md. *)
 
 open Bench_util
 module Sharing = Dstress_mpc.Sharing
@@ -40,7 +42,7 @@ let run ~quick () =
   let sliced, sliced_s =
     time (fun () -> Gmw.eval_many sliced_sessions circuit ~input_shares:inputs)
   in
-  (* The sliced path must be observably indistinguishable per instance. *)
+  (* The lane count must be unobservable per instance. *)
   for i = 0 to count - 1 do
     for party = 0 to block - 1 do
       if not (Bitvec.equal scalar.(i).(party) sliced.(i).(party)) then
@@ -79,9 +81,7 @@ let run ~quick () =
     (1000.0 *. scalar_s /. float_of_int count);
   Printf.printf "%-10s %10.3f s %13.2f ms\n" "sliced" sliced_s
     (1000.0 *. sliced_s /. float_of_int count);
-  let speedup = scalar_s /. sliced_s in
   Printf.printf
-    "\nidentical outputs, traffic matrices and counters across %d instances; speedup %.2fx\n"
-    count speedup;
-  if speedup < 4.0 then
-    Printf.printf "(below the 4x target — expected only under --quick or heavy load)\n"
+    "\nidentical outputs, traffic matrices and counters across %d instances; 64 lanes \
+     buy %.2fx over one\n"
+    count (scalar_s /. sliced_s)

@@ -159,4 +159,18 @@ grep -q 'trace=3 msg="request finished"' "$CI_TMP/serve.err"
 kill -TERM "$SVC_PID"
 wait "$SVC_PID"
 
+# Benchmark smoke: a few seconds of each workload BENCHMARK.json names.
+# perfbench exits nonzero unless every query passes its correctness
+# gate — the noised output lies within the noise bound of the cleartext
+# result, repeats of a config are bit-identical, and daemon responses
+# match in-process runs — so a GMW kernel regression fails here end to
+# end, daemon included.
+echo "== perfbench smoke (every workload, correctness gate) =="
+for workload in en-rounds egj-transfer daemon-small; do
+  echo "-- $workload"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 --trace 0 \
+    > "$CI_TMP/perfbench.$workload.out"
+  tail -n 1 "$CI_TMP/perfbench.$workload.out"
+done
+
 echo "CI OK"

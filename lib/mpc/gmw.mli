@@ -43,8 +43,10 @@ val eval :
   Dstress_circuit.Circuit.t ->
   input_shares:Dstress_util.Bitvec.t array ->
   Dstress_util.Bitvec.t array
-(** [eval s c ~input_shares] runs the protocol. [input_shares] has one
-    vector of length [c.num_inputs] per party; the result has one vector of
+(** [eval s c ~input_shares] runs the protocol on one session: it is
+    [(eval_many [| s |] c ~input_shares:[| input_shares |]).(0)], the
+    one-lane case of the single GMW kernel. [input_shares] has one vector
+    of length [c.num_inputs] per party; the result has one vector of
     length [Array.length c.outputs] per party, XOR-sharing the outputs
     (outputs are *not* revealed — DStress keeps them shared, §3.6).
     Raises [Invalid_argument] on shape mismatches. *)
@@ -54,17 +56,18 @@ val eval_many :
   Dstress_circuit.Circuit.t ->
   input_shares:Dstress_util.Bitvec.t array array ->
   Dstress_util.Bitvec.t array array
-(** Bitsliced evaluation of the same circuit across many independent
-    sessions (protocol instances): [eval_many sessions c ~input_shares]
-    is observably identical to
-    [Array.mapi (fun i s -> eval s c ~input_shares:input_shares.(i)) sessions]
-    — same output shares, same per-session traffic matrices, same
-    rounds/AND/OT counters, same PRG states afterwards — but packs up to
-    64 instances into each [int64] wire word, so local gates cost one
-    word op and each AND level runs one word-level OT batch per ordered
-    pair ({!Dstress_crypto.Ot_ext.extend_words}) instead of one scalar
-    batch per instance. Instances beyond 64 are processed in successive
-    chunks. All sessions must agree on party count and OT mode.
+(** The GMW kernel: bitsliced evaluation of the same circuit across many
+    independent sessions (protocol instances). It packs up to 64
+    instances into each [int64] wire word, so local gates cost one word
+    op and each AND level runs one word-level OT batch per ordered pair
+    ({!Dstress_crypto.Ot_ext.extend_words}); instances beyond 64 are
+    processed in successive chunks. Everything observable stays per
+    session and independent of how sessions are grouped:
+    [eval_many sessions c ~input_shares] gives each session the same
+    output shares, traffic matrix, rounds/AND/OT counters and PRG states
+    afterwards as
+    [Array.mapi (fun i s -> eval s c ~input_shares:input_shares.(i)) sessions].
+    All sessions must agree on party count and OT mode.
     Raises [Invalid_argument] on shape mismatches. *)
 
 val generate_material :

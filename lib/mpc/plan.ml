@@ -25,7 +25,10 @@ type t = {
   prologue : op array; (* local gates computable before any AND round *)
   levels : level array; (* one entry per AND round, in round order *)
   num_wires : int;
-  digest : string; (* structural circuit hash, survives Marshal round-trips *)
+  mutable digest : string option;
+      (* structural circuit hash, filled on first [digest] call. An option
+         rather than [Lazy.t]: an unforced lazy holds a closure, which
+         Marshal rejects, and plans cross process boundaries. *)
 }
 
 let circuit t = t.circuit
@@ -34,7 +37,6 @@ let prologue t = t.prologue
 let levels t = t.levels
 let depth t = Array.length t.levels
 let and_count t = Array.fold_left (fun a l -> a + Array.length l.and_dst) 0 t.levels
-let digest t = t.digest
 
 (* Structural identity for preprocessed material: physical equality breaks
    whenever a plan crosses a Marshal boundary (the distributed executor
@@ -54,6 +56,16 @@ let circuit_digest (circuit : Circuit.t) =
     circuit.Circuit.gates;
   Array.iter (fun o -> Buffer.add_string b (Printf.sprintf "o%d;" o)) circuit.Circuit.outputs;
   Dstress_util.Hex.encode (Dstress_crypto.Sha256.digest (Buffer.to_bytes b))
+
+(* Only preprocessing reads the digest, so compile leaves it unset. Two
+   domains racing here both store the same string, which is harmless. *)
+let digest t =
+  match t.digest with
+  | Some d -> d
+  | None ->
+      let d = circuit_digest t.circuit in
+      t.digest <- Some d;
+      d
 
 let compilations_counter = Atomic.make 0
 let compilations () = Atomic.get compilations_counter
@@ -89,7 +101,7 @@ let compile (circuit : Circuit.t) =
           post = Array.of_list (List.rev local_rev.(r + 1));
         })
   in
-  { circuit; prologue; levels; num_wires = Array.length gates; digest = circuit_digest circuit }
+  { circuit; prologue; levels; num_wires = Array.length gates; digest = None }
 
 (* Plans are memoized on the physical identity of the circuit: DStress
    evaluates the same update circuit once per vertex per round, and

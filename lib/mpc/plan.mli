@@ -1,19 +1,16 @@
 (** Compiled GMW evaluation plans.
 
-    {!Gmw.eval} used to rediscover the circuit's round structure at every
-    call: sweep the gate array, evaluate whatever local gates are ready,
-    collect the ready AND gates into a batch, repeat — an
-    O(AND-depth × gates) walk with per-round list and closure churn, paid
-    once per vertex per round. A plan performs that scheduling exactly
-    once per circuit: gates are partitioned into the circuit's AND-levels
+    Evaluating a circuit round by round means knowing, for each AND
+    round, which gates form its batch and which local gates become ready
+    after it. A plan performs that scheduling exactly once per circuit:
+    gates are partitioned into the circuit's AND-levels
     ({!Dstress_circuit.Circuit.and_levels}) with operand and destination
-    wire indices precomputed, and the evaluator — scalar or bitsliced —
-    just replays the levels.
+    wire indices precomputed, and the GMW kernel ({!Gmw.eval_many}) just
+    replays the levels.
 
     The AND batch of level [r] contains exactly the AND gates at level
-    [r+1] of [and_levels], in wire order — the same batches (same order,
-    same sizes) the sweep produced, which is what keeps PRG draws, OT
-    counts and metered traffic bit-identical to the historical evaluator.
+    [r+1] of [and_levels], in wire order; the batch order fixes the PRG
+    draws, OT counts and metered traffic of every evaluation.
 
     Plans are memoized per circuit (physical identity, bounded cache,
     thread-safe), so concurrent evaluations of the same circuit from a
@@ -64,7 +61,10 @@ val digest : t -> string
     input count and output wires. Unlike physical identity, it survives
     Marshal round-trips, so preprocessed GMW material generated on one
     side of a process boundary still matches the plan on the other. Two
-    structurally equal circuits share a digest. *)
+    structurally equal circuits share a digest. Only preprocessing reads
+    it, so it is computed on first call and memoized in the plan; a plan
+    marshalled before that call still marshals and computes the same
+    value afterwards. *)
 
 val compilations : unit -> int
 (** Process-wide count of {!compile} runs (including those triggered by

@@ -44,7 +44,7 @@ val mean_per_node : t -> float
 val equal : t -> t -> bool
 (** Structural equality of two matrices: same party count, same per-pair
     byte counts and same external rows. Used by the equivalence tests that
-    assert the sliced and scalar GMW paths meter identical traffic. *)
+    assert GMW meters identical traffic whatever the slice width. *)
 
 val merge_into : dst:t -> t -> unit
 (** Accumulates another matrix of the same size. *)

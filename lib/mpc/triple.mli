@@ -34,10 +34,9 @@ type material = {
   parties : int;
   seed : string;  (** Session seed the draws were replayed from. *)
   slice_width : int;
-      (** Administrative record of the intended evaluation width (1 for
-          scalar, up to 64 for bitsliced); scalar and sliced evaluation
-          consume identical draw sequences, so it does not affect the
-          bytes, only the cache key. *)
+      (** Administrative record of the intended evaluation width (1 to
+          64 lanes); every width consumes identical draw sequences, so it
+          does not affect the bytes, only the cache key. *)
   ot_mode : Dstress_crypto.Ot_ext.mode;
   evals : eval array;
   ot : Dstress_crypto.Ot_ext.session option array array;

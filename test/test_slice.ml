@@ -6,7 +6,8 @@
    running Gmw.eval per instance. These tests pin that contract on random
    circuits, the paper's EN and EGJ update circuits, the aggregation
    circuit, both OT backends, and through the engine (slice_width 1 vs
-   grouped) under both executors. *)
+   grouped) under both executors; a golden ties the kernel to what the
+   retired scalar evaluator produced. *)
 
 open Dstress_mpc
 module Bitvec = Dstress_util.Bitvec
@@ -161,6 +162,96 @@ let test_eval_many_rejects_mismatches () =
       ignore (Gmw.eval_many mixed c ~input_shares:(make_inputs ~parties:2 ~count:2 "reject" c)))
 
 (* ------------------------------------------------------------------ *)
+(* Golden: the one-lane kernel vs the retired bool-array evaluator      *)
+(* ------------------------------------------------------------------ *)
+
+(* Gmw.eval is a one-slot eval_many, so the differentials above compare
+   the kernel with itself. This golden pins what the retired scalar
+   bool-array evaluator produced on the EN aggregation circuit (the
+   daemon query shape: l = 12, epsilon 1, sensitivity 20, noise_max 600)
+   at k = 2: output shares, the traffic matrix and the rounds/AND/OT
+   counters, for Simulation and Crypto OT, inline and with attached
+   Triple material, and one evaluation after the material runs out. Each
+   session evaluates twice, so the second record also pins the PRG state
+   the first evaluation left behind. To regenerate after an intentional
+   protocol change, run (from the repo root):
+
+     DSTRESS_REGEN_GOLDEN=$PWD/test/golden/gmw_scalar_aggregation.txt \
+       dune exec test/test_slice.exe -- test golden
+
+   and commit the updated file. *)
+let golden_path = "golden/gmw_scalar_aggregation.txt"
+
+let golden_circuit () =
+  let p = En_program.make ~epsilon:1.0 ~sensitivity:20 ~l:12 ~degree:3 ~iterations:1 () in
+  Vertex_program.aggregate_circuit p ~count:5
+
+let bits_string v =
+  String.init (Bitvec.length v) (fun i -> if Bitvec.get v i then '1' else '0')
+
+(* One text record per evaluation: outputs per party, the session's
+   cumulative traffic matrix (non-zero cells) and counters. *)
+let golden_record buf tag e s out =
+  Printf.bprintf buf "case %s eval %d\n" tag e;
+  Array.iteri (fun p v -> Printf.bprintf buf "out %d %s\n" p (bits_string v)) out;
+  Traffic.iter_nonzero (Gmw.traffic s) (fun ~src ~dst v ->
+      Printf.bprintf buf "traffic %d %d %d\n" src dst v);
+  Printf.bprintf buf "rounds %d ands %d ots %d\n" (Gmw.rounds s) (Gmw.and_gates_evaluated s)
+    (Gmw.ots_performed s)
+
+(* [eval] is the evaluator under test. Per OT mode, three sessions:
+   inline, material for both evaluations, and material for one (so the
+   second evaluation runs after it is exhausted). *)
+let golden_transcript eval =
+  let circuit = golden_circuit () in
+  let parties = 3 in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (mode, mode_tag) ->
+      List.iter
+        (fun (material, case_tag) ->
+          let tag = mode_tag ^ "/" ^ case_tag in
+          let seed = "golden:" ^ tag in
+          let s = Gmw.create_session ~mode grp ~parties ~seed in
+          Option.iter
+            (fun evals ->
+              Gmw.attach_material s
+                (Gmw.generate_material ~mode grp ~parties ~seed ~slice_width:1 ~evals
+                   (Plan.of_circuit circuit)))
+            material;
+          for e = 0 to 1 do
+            let shares =
+              (make_inputs ~parties ~count:1 (Printf.sprintf "golden:%s:%d" tag e) circuit).(0)
+            in
+            golden_record buf tag e s (eval s circuit shares)
+          done)
+        [ (None, "inline"); (Some 2, "material"); (Some 1, "exhausted") ])
+    [ (Ot_ext.Simulation, "sim"); (Ot_ext.Crypto, "crypto") ];
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The transcript comes from the kernel itself, a one-slot eval_many;
+   the differentials above tie Gmw.eval to it. *)
+let test_scalar_golden () =
+  let current =
+    golden_transcript (fun s c shares ->
+        (Gmw.eval_many [| s |] c ~input_shares:[| shares |]).(0))
+  in
+  match Sys.getenv_opt "DSTRESS_REGEN_GOLDEN" with
+  | Some path ->
+      let oc = open_out_bin path in
+      output_string oc current;
+      close_out oc;
+      Printf.printf "regenerated %s\n" path
+  | None ->
+      Alcotest.(check string) "one-slot kernel vs golden" (read_file golden_path) current
+
+(* ------------------------------------------------------------------ *)
 (* Plan compilation                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -200,6 +291,30 @@ let test_plan_memoized () =
   let c = adder_circuit 6 in
   Alcotest.(check bool) "same circuit, same plan" true
     (Plan.of_circuit c == Plan.of_circuit c)
+
+(* The digest keys the on-disk Triple cache, so its value is pinned: a
+   fixed circuit touching every gate kind, and the 4-bit adder. *)
+let test_plan_digest_pinned () =
+  let c =
+    Circuit.make ~num_inputs:2 ~outputs:[| 5; 4 |]
+      ~gates:Circuit.[| Input 0; Input 1; Const true; Not 0; Xor (1, 3); And (2, 4) |]
+  in
+  Alcotest.(check string) "every gate kind"
+    "18afddcf94c1dffc81e40df7f737bf12403c38f86cb9c0e3cdc220ee468dd51c"
+    (Plan.digest (Plan.compile c));
+  Alcotest.(check string) "4-bit adder"
+    "dc467628251dbacba7702e60373a38d2be0477d9d8c750f3ea4c7aa48d186704"
+    (Plan.digest (Plan.compile (adder_circuit 4)))
+
+(* The digest is filled on first use; a plan marshalled before that must
+   still marshal (no closure inside) and compute the same digest after. *)
+let test_plan_digest_marshal () =
+  let plan = Plan.compile (adder_circuit 6) in
+  let copy : Plan.t = Marshal.from_string (Marshal.to_string plan []) 0 in
+  let expected = Plan.digest plan in
+  Alcotest.(check string) "unforced copy" expected (Plan.digest copy);
+  let forced : Plan.t = Marshal.from_string (Marshal.to_string plan []) 0 in
+  Alcotest.(check string) "forced copy" expected (Plan.digest forced)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: slice_width must not be observable in the report            *)
@@ -302,10 +417,13 @@ let () =
           Alcotest.test_case "crypto OT backend" `Quick test_crypto_mode;
           Alcotest.test_case "rejects mismatches" `Quick test_eval_many_rejects_mismatches;
         ] );
+      ("golden", [ Alcotest.test_case "scalar aggregation golden" `Quick test_scalar_golden ]);
       ( "plan",
         [
           Alcotest.test_case "level partition" `Quick test_plan_partition;
           Alcotest.test_case "memoized per circuit" `Quick test_plan_memoized;
+          Alcotest.test_case "digest pinned" `Quick test_plan_digest_pinned;
+          Alcotest.test_case "digest survives Marshal" `Quick test_plan_digest_marshal;
         ] );
       ( "engine",
         [
