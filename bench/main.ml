@@ -38,7 +38,7 @@ let experiments : (string * string * (quick:bool -> unit -> unit)) list =
     (* transport forks worker processes and must run before any suite that
        spawns domains (OCaml 5 forbids fork after Domain.spawn), so it sits
        ahead of the executor suite's domain pool. *)
-    ("transport", "distributed runtime: frame RTT, backoff, pool dispatch", Transport_bench.run);
+    ("transport", "distributed runtime: frame RTT, connect and backoff", Transport_bench.run);
     ("service", "daemon mode: persistent pool vs fork-per-batch dispatch", Service_bench.run);
     ("telemetry", "observability: sketch/log cost and the dispatch telemetry tax", Telemetry_bench.run);
     ("executor", "runtime: sequential vs domain-pool executor", Executor_bench.run);

@@ -19,6 +19,7 @@ open Bench_util
 module Transport = Dstress_runtime.Transport
 module Distributed = Dstress_runtime.Distributed
 module Service = Dstress_runtime.Service
+module Pool = Dstress_runtime.Pool
 module Engine = Dstress_runtime.Engine
 module Graph = Dstress_runtime.Graph
 module Metrics = Dstress_obs.Obs.Metrics
@@ -122,14 +123,14 @@ let drain_requests pool reqs =
 (* ------------------------------------------------------------------ *)
 
 let bench_dispatch ~requests =
-  let opts = { Service.default_pool_opts with Service.queue_depth = requests + 1 } in
+  let opts = { Service.default_pool_opts with Pool.queue_depth = requests + 1 } in
   let pool = Service.create_pool ~opts ~handler:noop_handler () in
   let reqs =
     List.init requests (fun i -> { base_request with Service.seed = 1000 + i })
   in
   let persistent =
     measure ~repeats:3 ~warmup:1 ~name:"persistent-dispatch"
-      ~params:[ ("workers", Json.Int opts.Service.workers) ]
+      ~params:[ ("workers", Json.Int opts.Pool.workers) ]
       ~items:("req", float_of_int requests)
       ~telemetry:(fun (n, _) ->
         ( [
@@ -150,7 +151,7 @@ let bench_dispatch ~requests =
   Service.shutdown_pool pool;
   let ctx =
     Distributed.create
-      ~opts:{ Distributed.default_opts with Distributed.workers = 2 }
+      ~opts:{ Distributed.default_opts with Pool.workers = 2 }
       ()
   in
   let forked =
@@ -227,7 +228,7 @@ let bench_tcp_rtt ~pings =
 let bench_warm_requests ~requests =
   let pool =
     Service.create_pool
-      ~opts:{ Service.default_pool_opts with Service.workers = 1 }
+      ~opts:{ Service.default_pool_opts with Pool.workers = 1 }
       ~handler:en_handler ()
   in
   let req = { base_request with Service.seed = 7; preprocess = true } in

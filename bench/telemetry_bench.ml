@@ -22,6 +22,7 @@
 
 open Bench_util
 module Service = Dstress_runtime.Service
+module Pool = Dstress_runtime.Pool
 module Metrics = Dstress_obs.Obs.Metrics
 module Sketch = Dstress_obs.Sketch
 module Log = Dstress_obs.Log
@@ -181,7 +182,7 @@ let per_request_telemetry_s ~iters =
   !best
 
 let bench_telemetry_tax ~requests ~tax_iters =
-  let opts = { Service.default_pool_opts with Service.queue_depth = requests + 1 } in
+  let opts = { Service.default_pool_opts with Pool.queue_depth = requests + 1 } in
   let log = Log.create ~level:Log.Debug ~capacity:256 () in
   let pool = Service.create_pool ~opts ~log ~handler:noop_handler () in
   let reqs =
@@ -190,7 +191,7 @@ let bench_telemetry_tax ~requests ~tax_iters =
   let best_batch_s = ref infinity in
   let _ =
     measure ~repeats:5 ~warmup:1 ~name:"instrumented-dispatch"
-      ~params:[ ("workers", Json.Int opts.Service.workers) ]
+      ~params:[ ("workers", Json.Int opts.Pool.workers) ]
       ~items:("req", float_of_int requests)
       ~telemetry:(fun n ->
         ( [

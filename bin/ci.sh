@@ -73,6 +73,15 @@ cmp "$OBS_TMP/trace.sequential.json" "$OBS_TMP/trace.parallel.4.json"
 cmp "$OBS_TMP/trace.sequential.json" "$OBS_TMP/trace.distributed.2.json"
 cmp "$OBS_TMP/metrics.sequential.json" "$OBS_TMP/metrics.parallel.4.json"
 cmp "$OBS_TMP/metrics.sequential.json" "$OBS_TMP/metrics.distributed.2.json"
+# ...and the distributed backend over named sockets instead of socketpairs.
+mkdir -p "$CI_TMP/sock"
+dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
+  --fault-crashes 2 --executor distributed:2 --socket-dir "$CI_TMP/sock" \
+  --slice-width 64 --obs-level full \
+  --trace "$OBS_TMP/trace.sock.json" --metrics "$OBS_TMP/metrics.sock.json" \
+  > /dev/null
+cmp "$OBS_TMP/trace.sequential.json" "$OBS_TMP/trace.sock.json"
+cmp "$OBS_TMP/metrics.sequential.json" "$OBS_TMP/metrics.sock.json"
 dune exec test/json_check.exe -- \
   "$OBS_TMP/trace.sequential.json" "$OBS_TMP/metrics.sequential.json"
 

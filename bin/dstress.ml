@@ -123,6 +123,7 @@ let executor_of_jobs jobs =
 
 module Executor = Dstress_runtime.Executor
 module Distributed = Dstress_runtime.Distributed
+module Pool = Dstress_runtime.Pool
 module Transport = Dstress_runtime.Transport
 
 let executor_arg =
@@ -194,8 +195,8 @@ let resolve_executor ~spec ~jobs ~socket_dir =
   | Some dir, Some ctx ->
       let o = Distributed.opts ctx in
       Executor.distributed
-        ~opts:{ o with Distributed.socket_dir = Some dir }
-        ~workers:o.Distributed.workers ()
+        ~opts:{ o with Pool.socket_dir = Some dir }
+        ~workers:o.Pool.workers ()
 
 let wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults =
   if wire_fault_rate = 0.0 && wire_faults = [] then Fault.empty
@@ -204,7 +205,7 @@ let wire_plan ~exec ~seed ~iterations ~wire_fault_rate ~wire_faults =
     | None ->
         invalid_arg "dstress: wire faults require --executor distributed[:N]"
     | Some ctx ->
-        let workers = (Distributed.opts ctx).Distributed.workers in
+        let workers = (Distributed.opts ctx).Pool.workers in
         (* Every engine phase is at most two dispatch batches per round. *)
         let batches = (2 * (iterations + 1)) + 2 in
         (if wire_fault_rate > 0.0 then
@@ -767,7 +768,7 @@ let serve socket listen workers queue_depth log_level slow_request grpname epsil
   let listener, addr = Service.bind_listener listen_addr in
   let pool_opts =
     { Service.default_pool_opts with
-      Service.workers;
+      Pool.workers;
       queue_depth;
       slow_request_s = slow_request;
     }
@@ -836,7 +837,7 @@ let serve_cmd =
   let slow_request =
     Arg.(
       value
-      & opt float Service.default_pool_opts.Service.slow_request_s
+      & opt float Service.default_pool_opts.Pool.slow_request_s
       & info [ "slow-request" ] ~docv:"SECONDS"
           ~doc:
             "Log a request at warn level when its end-to-end time (submit to \

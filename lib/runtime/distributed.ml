@@ -2,30 +2,9 @@ module Fault = Dstress_faults.Fault
 module Metrics = Dstress_obs.Obs.Metrics
 module Log = Dstress_obs.Log
 
-type opts = {
-  workers : int;
-  socket_dir : string option;
-  heartbeat_interval : float;
-  phi : float;
-  io_deadline : float;
-  poll_interval : float;
-  batch_deadline : float;
-  max_respawns_per_slot : int;
-  max_respawns_total : int;
-}
+type opts = Pool.opts
 
-let default_opts =
-  {
-    workers = 2;
-    socket_dir = None;
-    heartbeat_interval = 0.05;
-    phi = 8.0;
-    io_deadline = 10.0;
-    poll_interval = 0.02;
-    batch_deadline = 60.0;
-    max_respawns_per_slot = 2;
-    max_respawns_total = 8;
-  }
+let default_opts = Pool.default_opts
 
 type degradation = {
   batch : int;
@@ -58,26 +37,11 @@ type ctx = {
   mutable m : Metrics.t;
   mutable fault_source : (batch:int -> worker:int -> Fault.fault list) option;
   mutable next_batch : int;
-  mutable next_epoch : int;
 }
 
 let create ?(opts = default_opts) ?(log = Log.nop) () =
-  if opts.workers < 1 then invalid_arg "Distributed.create: workers < 1";
-  if not (opts.heartbeat_interval > 0.0) then
-    invalid_arg "Distributed.create: heartbeat_interval <= 0";
-  if not (opts.phi > 1.0) then invalid_arg "Distributed.create: phi <= 1";
-  if not (opts.io_deadline > 0.0 && opts.poll_interval > 0.0 && opts.batch_deadline > 0.0)
-  then invalid_arg "Distributed.create: non-positive deadline";
-  if opts.max_respawns_per_slot < 0 || opts.max_respawns_total < 0 then
-    invalid_arg "Distributed.create: negative respawn budget";
-  {
-    o = opts;
-    log;
-    m = Metrics.create ();
-    fault_source = None;
-    next_batch = 0;
-    next_epoch = 0;
-  }
+  Pool.check_opts opts;
+  { o = opts; log; m = Metrics.create (); fault_source = None; next_batch = 0 }
 
 let opts c = c.o
 let metrics c = c.m
@@ -90,244 +54,49 @@ let set_fault_source c src = c.fault_source <- Some src
 let clear_fault_source c = c.fault_source <- None
 let batches_dispatched c = c.next_batch
 
-(* ------------------------------------------------------------------ *)
-(* Worker side (forked child — only ever exits through Unix._exit, so  *)
-(* test-harness at_exit handlers never run in a child)                 *)
-(* ------------------------------------------------------------------ *)
-
-let worker_loop conn ~epoch ~heartbeat_interval ~partitioned ~stall ~disconnect f =
-  if partitioned then begin
-    (* Unreachable slot: read (so the socket never backpressures) but
-       drop everything and send nothing — the coordinator can only learn
-       about this worker through its failure detector. *)
-    (try
-       while true do
-         ignore (Transport.recv conn ~timeout:600.0)
-       done
-     with _ -> ());
-    Unix._exit 0
-  end;
-  (* The heartbeat thread and the task loop share the connection for
-     writes; [mu] serializes them. A stall fault holds [mu] for its whole
-     duration — the worker literally stops writing, heartbeats included,
-     which is what trips the coordinator's suspicion. *)
-  let mu = Mutex.create () in
-  let send ~kind payload =
-    Mutex.lock mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock mu)
-      (fun () -> ignore (Transport.send conn ~kind ~epoch payload))
-  in
-  (try send ~kind:Transport.Kind.hello Bytes.empty with _ -> Unix._exit 1);
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        try
-          while true do
-            Thread.delay heartbeat_interval;
-            send ~kind:Transport.Kind.heartbeat Bytes.empty
-          done
-        with _ -> ())
-      ()
-  in
-  let stall = ref stall in
-  let disconnect = ref disconnect in
-  (try
-     while true do
-       match Transport.recv conn ~timeout:1.0 with
-       | None -> ()
-       | Some fr when fr.Transport.kind = Transport.Kind.shutdown -> Unix._exit 0
-       | Some fr when fr.Transport.kind = Transport.Kind.task ->
-           let i : int = Marshal.from_bytes fr.Transport.payload 0 in
-           (match !stall with
-           | Some s ->
-               stall := None;
-               Mutex.lock mu;
-               Thread.delay s;
-               Mutex.unlock mu
-           | None -> ());
-           if !disconnect then begin
-             disconnect := false;
-             Transport.close conn;
-             Unix._exit 0
-           end;
-           (match f i with
-           | r -> send ~kind:Transport.Kind.result (Marshal.to_bytes (i, r) [])
-           | exception e ->
-               send ~kind:Transport.Kind.error
-                 (Marshal.to_bytes (i, Printexc.to_string e) []))
-       | Some _ -> ()
-     done
-   with _ -> Unix._exit 1);
-  Unix._exit 0
-
-(* ------------------------------------------------------------------ *)
-(* Coordinator side                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type slot = {
-  sid : int;  (* stable slot id — the fault plans' "worker" *)
-  mutable pid : int;
-  mutable conn : Transport.t;
-  mutable epoch : int;
-  mutable det : Failure_detector.t;
-  mutable running : int option;
-  mutable alive : bool;
-  mutable abandoned : bool;
-  mutable respawns : int;
-}
-
-let now () = Unix.gettimeofday ()
-
-let has_partition = List.exists (function Fault.Partition_worker _ -> true | _ -> false)
-let has_disconnect = List.exists (function Fault.Disconnect_worker _ -> true | _ -> false)
-
-let find_stall =
-  List.find_map (function Fault.Stall_worker { seconds; _ } -> Some seconds | _ -> None)
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Fork one worker for [sid] under a fresh [epoch]. [extra_close] lists
-   every coordinator-side socket the child inherits but must not keep
-   open (a leaked write end would mask a sibling's EOF). Returns
-   (pid, coordinator connection, epoch). *)
-let spawn ctx ~batch ~sid ~fresh ~extra_close f =
-  let o = ctx.o in
-  let epoch = ctx.next_epoch in
-  ctx.next_epoch <- epoch + 1;
-  let faults =
-    match ctx.fault_source with
-    | None -> []
-    | Some src -> List.filter (fun fl -> Fault.is_wire (Fault.kind_of fl)) (src ~batch ~worker:sid)
-  in
-  let partitioned = has_partition faults in
-  (* Disconnect/stall attack the slot's first spawn of the batch; a
-     respawned replacement is healthy (a partition covers respawns too —
-     that is what forces abandonment). *)
-  let stall = if fresh then find_stall faults else None in
-  let disconnect = fresh && has_disconnect faults in
-  flush stdout;
-  flush stderr;
-  match o.socket_dir with
-  | None ->
-      let cfd, wfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (match Unix.fork () with
-      | 0 ->
-          close_quietly cfd;
-          List.iter close_quietly extra_close;
-          let conn =
-            Transport.of_fd ~read_deadline:o.io_deadline ~write_deadline:o.io_deadline wfd
-          in
-          worker_loop conn ~epoch ~heartbeat_interval:o.heartbeat_interval ~partitioned
-            ~stall ~disconnect f
-      | pid ->
-          Unix.close wfd;
-          let conn =
-            Transport.of_fd ~metrics:ctx.m ~log:ctx.log ~read_deadline:o.io_deadline
-              ~write_deadline:o.io_deadline cfd
-          in
-          Log.debug ctx.log "distributed worker spawned"
-            [
-              ("batch", Log.Int batch);
-              ("worker", Log.Int sid);
-              ("pid", Log.Int pid);
-              ("epoch", Log.Int epoch);
-            ];
-          (pid, conn, epoch))
-  | Some dir ->
-      let path =
-        Filename.concat dir (Printf.sprintf "dstress-%d-w%d-e%d.sock" (Unix.getpid ()) sid epoch)
-      in
-      let lfd = Transport.listen ~path in
-      (match Unix.fork () with
-      | 0 ->
-          close_quietly lfd;
-          List.iter close_quietly extra_close;
-          (match
-             Transport.connect ~read_deadline:o.io_deadline ~write_deadline:o.io_deadline
-               ~attempts:10 ~backoff:0.005
-               ~jitter_seed:(sid + (31 * epoch))
-               ~path ()
-           with
-          | conn ->
-              worker_loop conn ~epoch ~heartbeat_interval:o.heartbeat_interval ~partitioned
-                ~stall ~disconnect f
-          | exception _ -> Unix._exit 1)
-      | pid ->
-          let conn =
-            match
-              Transport.accept ~metrics:ctx.m ~log:ctx.log ~read_deadline:o.io_deadline
-                ~write_deadline:o.io_deadline ~deadline:10.0 lfd
-            with
-            | conn -> conn
-            | exception e ->
-                close_quietly lfd;
-                (try Unix.unlink path with Unix.Unix_error _ -> ());
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-                raise e
-          in
-          close_quietly lfd;
-          (try Unix.unlink path with Unix.Unix_error _ -> ());
-          Log.debug ctx.log "distributed worker spawned"
-            [
-              ("batch", Log.Int batch);
-              ("worker", Log.Int sid);
-              ("pid", Log.Int pid);
-              ("epoch", Log.Int epoch);
-            ];
-          (pid, conn, epoch))
+let index_body i =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int i);
+  b
 
 let run_batch ctx ~batch count f =
-  let o = ctx.o in
-  let m = ctx.m in
-  let nworkers = max 1 (min o.workers count) in
+  let o = ctx.o and m = ctx.m in
   Metrics.incr m "pool.batches";
-  let results = Array.make count None in
-  let errors = Array.make count None in
+  let workers = min o.Pool.workers count in
+  (* The batch deadline and respawn budget bound a map, so attempts
+     need neither a deadline nor a budget of their own. *)
+  let pool =
+    Pool.create
+      ~opts:
+        { o with workers; request_deadline = infinity; max_attempts_per_request = max_int }
+      ~log:ctx.log ~metrics:m
+      ~tags:[ ("batch", Log.Int batch) ]
+      ~handler:(fun body -> Marshal.to_bytes (f (Int64.to_int (Bytes.get_int64_le body 0))) [])
+      ()
+  in
+  (* Disconnect and stall hit the first task of a slot's first worker; a
+     partition covers every dispatch to the slot, respawns included, so
+     the slot ends abandoned. *)
+  Option.iter
+    (fun src ->
+      Pool.set_fault_source pool (fun ~dispatch:_ ~slot ~fresh ->
+          List.filter
+            (function Fault.Partition_worker _ -> true | _ -> fresh)
+            (src ~batch ~worker:slot)))
+    ctx.fault_source;
+  let results = Array.make count None and errors = Array.make count None in
   let completed = ref 0 in
-  let pending = Queue.create () in
   for i = 0 to count - 1 do
-    Queue.add i pending
+    Pool.submit pool (index_body i) (function
+      | Pool.Dispatched _ -> Metrics.incr m "pool.tasks_dispatched"
+      | Pool.Finished (Ok r) ->
+          results.(i) <- Some (Marshal.from_bytes r 0);
+          incr completed
+      | Pool.Finished (Error (Pool.Raised msg)) ->
+          errors.(i) <- Some msg;
+          incr completed
+      | Pool.Requeued _ | Pool.Finished (Error _) -> ())
   done;
-  let pids = ref [] in
-  let fenced = ref [] in
-  let total_respawns = ref 0 in
-  let abandoned_slots = ref 0 in
-  let fresh_detector () =
-    let det = Failure_detector.create ~phi:o.phi ~expected_interval:o.heartbeat_interval () in
-    Failure_detector.start det ~now:(now ());
-    det
-  in
-  let make_slot ~extra_close sid =
-    let pid, conn, epoch = spawn ctx ~batch ~sid ~fresh:true ~extra_close f in
-    pids := pid :: !pids;
-    {
-      sid;
-      pid;
-      conn;
-      epoch;
-      det = fresh_detector ();
-      running = None;
-      alive = true;
-      abandoned = false;
-      respawns = 0;
-    }
-  in
-  let created = ref [] in
-  let slots =
-    Array.init nworkers (fun sid ->
-        let s = make_slot ~extra_close:!created sid in
-        created := Transport.fd s.conn :: !created;
-        s)
-  in
-  let open_coordinator_fds () =
-    let live =
-      Array.to_list slots
-      |> List.filter_map (fun s -> if s.alive then Some (Transport.fd s.conn) else None)
-    in
-    live @ List.map (fun (c, _) -> Transport.fd c) !fenced
-  in
   let degrade reason =
     Log.error ctx.log "distributed batch degraded"
       [
@@ -335,7 +104,7 @@ let run_batch ctx ~batch count f =
         ("reason", Log.Str reason);
         ("completed", Log.Int !completed);
         ("count", Log.Int count);
-        ("respawns", Log.Int !total_respawns);
+        ("respawns", Log.Int (Pool.respawns pool));
       ];
     raise
       (Degraded
@@ -344,210 +113,19 @@ let run_batch ctx ~batch count f =
            reason;
            completed = !completed;
            count;
-           respawns = !total_respawns;
-           abandoned = !abandoned_slots;
+           respawns = Pool.respawns pool;
+           abandoned = workers - Pool.active pool;
          })
   in
-  let requeue s =
-    (match s.running with
-    | Some i when Option.is_none results.(i) && Option.is_none errors.(i) ->
-        Queue.add i pending
-    | _ -> ());
-    s.running <- None
-  in
-  let respawn s =
-    incr total_respawns;
-    s.respawns <- s.respawns + 1;
-    Metrics.incr m "pool.respawns";
-    if !total_respawns > o.max_respawns_total then degrade "respawn budget exhausted"
-    else if s.respawns > o.max_respawns_per_slot then begin
-      s.abandoned <- true;
-      incr abandoned_slots;
-      Metrics.incr m "pool.slots_abandoned";
-      Log.error ctx.log "distributed worker slot abandoned"
-        [ ("batch", Log.Int batch); ("worker", Log.Int s.sid) ]
-    end
-    else begin
-      let pid, conn, epoch =
-        spawn ctx ~batch ~sid:s.sid ~fresh:false ~extra_close:(open_coordinator_fds ()) f
-      in
-      pids := pid :: !pids;
-      s.pid <- pid;
-      s.conn <- conn;
-      s.epoch <- epoch;
-      s.det <- fresh_detector ();
-      s.alive <- true
-    end
-  in
-  (* [fence]d retirement keeps the old socket readable until batch end so
-     a straggler's late reply is observed (and dropped by epoch) instead
-     of poisoning a reused slot. Non-fenced death closes immediately. *)
-  let on_dead ?(fence = false) s metric =
-    Metrics.incr m metric;
-    Log.warn ctx.log "distributed worker lost"
-      [
-        ("batch", Log.Int batch);
-        ("worker", Log.Int s.sid);
-        ("pid", Log.Int s.pid);
-        ("epoch", Log.Int s.epoch);
-        ("reason", Log.Str metric);
-        ("fenced", Log.Bool fence);
-      ];
-    if fence then fenced := (s.conn, s.epoch) :: !fenced else Transport.close s.conn;
-    s.alive <- false;
-    requeue s;
-    respawn s
-  in
-  let record_result ~epoch s_opt payload =
-    let ((i : int), r) = Marshal.from_bytes payload 0 in
-    let current = match s_opt with Some s -> s.epoch = epoch | None -> false in
-    if (not current) || Option.is_some results.(i) || Option.is_some errors.(i) then
-      Metrics.incr m "transport.fenced_frames"
-    else begin
-      results.(i) <- Some r;
-      incr completed;
-      match s_opt with
-      | Some s when s.running = Some i -> s.running <- None
-      | _ -> ()
-    end
-  in
-  let record_error ~epoch s_opt payload =
-    let ((i : int), (msg : string)) = Marshal.from_bytes payload 0 in
-    let current = match s_opt with Some s -> s.epoch = epoch | None -> false in
-    if (not current) || Option.is_some results.(i) || Option.is_some errors.(i) then
-      Metrics.incr m "transport.fenced_frames"
-    else begin
-      errors.(i) <- Some msg;
-      incr completed;
-      Metrics.incr m "pool.task_errors";
-      match s_opt with
-      | Some s when s.running = Some i -> s.running <- None
-      | _ -> ()
-    end
-  in
-  let drain_slot s =
-    let continue_ = ref true in
-    while !continue_ && s.alive do
-      match Transport.recv s.conn ~timeout:0.002 with
-      | None -> continue_ := false
-      | Some fr ->
-          Failure_detector.observe s.det ~now:(now ());
-          let k = fr.Transport.kind in
-          if k = Transport.Kind.result then record_result ~epoch:fr.Transport.epoch (Some s) fr.Transport.payload
-          else if k = Transport.Kind.error then record_error ~epoch:fr.Transport.epoch (Some s) fr.Transport.payload
-      | exception Transport.Error (Transport.Closed _) ->
-          continue_ := false;
-          on_dead s "pool.worker_disconnects"
-      | exception Transport.Error (Transport.Integrity _) ->
-          continue_ := false;
-          on_dead s "pool.integrity_failures"
-      | exception Transport.Error (Transport.Timeout _) ->
-          continue_ := false;
-          on_dead s "pool.io_timeouts"
-    done
-  in
-  (* Returns [true] to keep the fenced connection alive. *)
-  let drain_fenced (c, epoch) =
-    try
-      let continue_ = ref true in
-      while !continue_ do
-        match Transport.recv c ~timeout:0.002 with
-        | None -> continue_ := false
-        | Some fr ->
-            let k = fr.Transport.kind in
-            if k = Transport.Kind.result then record_result ~epoch None fr.Transport.payload
-            else if k = Transport.Kind.error then record_error ~epoch None fr.Transport.payload
-      done;
-      true
-    with Transport.Error _ ->
-      Transport.close c;
-      false
-  in
-  let cleanup () =
-    Array.iter
-      (fun s ->
-        if s.alive then begin
-          (try
-             ignore
-               (Transport.send s.conn ~kind:Transport.Kind.shutdown ~epoch:s.epoch Bytes.empty)
-           with _ -> ());
-          Transport.close s.conn
-        end)
-      slots;
-    List.iter (fun (c, _) -> Transport.close c) !fenced;
-    fenced := [];
-    let grace = now () +. 2.0 in
-    let rec reap remaining =
-      match remaining with
-      | [] -> ()
-      | _ when now () > grace ->
-          List.iter
-            (fun pid ->
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-            remaining
-      | _ ->
-          let still =
-            List.filter
-              (fun pid ->
-                match Unix.waitpid [ Unix.WNOHANG ] pid with
-                | 0, _ -> true
-                | _ -> false
-                | exception Unix.Unix_error _ -> false)
-              remaining
-          in
-          if still <> [] then Unix.sleepf 0.01;
-          reap still
-    in
-    reap !pids;
-    pids := []
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      let batch_deadline_at = now () +. o.batch_deadline in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. o.batch_deadline in
       while !completed < count do
-        if now () > batch_deadline_at then degrade "batch deadline expired";
-        let live = Array.to_list slots |> List.filter (fun s -> s.alive) in
-        if live = [] then degrade "no live workers remain";
-        (* Dynamic dispatch: any idle live slot takes the next index. *)
-        List.iter
-          (fun s ->
-            if s.alive && s.running = None && not (Queue.is_empty pending) then begin
-              let i = Queue.peek pending in
-              match
-                Transport.send s.conn ~kind:Transport.Kind.task ~epoch:s.epoch
-                  (Marshal.to_bytes i [])
-              with
-              | _ ->
-                  ignore (Queue.pop pending);
-                  s.running <- Some i;
-                  Metrics.incr m "pool.tasks_dispatched"
-              | exception Transport.Error _ -> on_dead s "pool.worker_disconnects"
-            end)
-          live;
-        let fds = open_coordinator_fds () in
-        let readable =
-          match Unix.select fds [] [] o.poll_interval with
-          | r, _, _ -> r
-          | exception Unix.Unix_error (EINTR, _, _) -> []
-        in
-        if readable <> [] then begin
-          Array.iter
-            (fun s -> if s.alive && List.mem (Transport.fd s.conn) readable then drain_slot s)
-            slots;
-          fenced :=
-            List.filter
-              (fun ((c, _) as entry) ->
-                if List.mem (Transport.fd c) readable then drain_fenced entry else true)
-              !fenced
-        end;
-        (* Heartbeat suspicion: a slot that stopped writing is treated
-           like a crashed node — requeue, fence, respawn under a new
-           epoch. *)
-        Array.iter
-          (fun s ->
-            if s.alive && Failure_detector.suspected s.det ~now:(now ()) then
-              on_dead ~fence:true s "pool.suspicions")
-          slots
+        if Pool.respawns pool > o.max_respawns_total then degrade "respawn budget exhausted";
+        if Unix.gettimeofday () > deadline then degrade "batch deadline expired";
+        if Pool.active pool = 0 then degrade "no live workers remain";
+        Pool.step pool ~timeout:o.poll_interval
       done);
   (match
      Array.to_seq errors

@@ -1,64 +1,39 @@
 (** Multi-process executor backend: blocks run as separate OS processes.
 
-    A {!map} call is one {e dispatch batch}: the pool forks [workers]
-    worker processes, each inheriting (copy-on-write) the coordinator's
-    full state snapshot — so the task closure needs no marshalling; only
-    the task {e results} (plain data by the {!Executor} task contract)
-    cross the process boundary, as [Marshal]-encoded payloads in
-    {!Transport} frames over Unix domain sockets (anonymous socketpairs
-    by default, named sockets under [socket_dir] to exercise the
-    listen/connect/backoff path).
+    A {!map} call is one {e dispatch batch} and one {!Pool}: the pool
+    forks its workers when the batch starts and reaps them when it ends,
+    so every worker inherits (copy-on-write) the coordinator's state at
+    that moment. The task closure therefore needs no marshalling; only
+    its index goes out, and only the {e results} (plain data by the
+    {!Executor} task contract) come back, [Marshal]-encoded in
+    {!Transport} frames.
 
-    {b Fault tolerance.} Tasks are dispatched dynamically: any idle
-    worker takes the next pending index, so a lost worker only costs a
-    redispatch. The coordinator runs a heartbeat {!Failure_detector} per
-    worker slot; a suspected worker is treated exactly like a
-    [Crash_node] fault at the protocol layer — its task is requeued, its
-    slot respawned under a {b new epoch} — but its socket is kept
-    readable until the batch ends, so a straggler's late reply is
-    dropped by epoch fence ([transport.fenced_frames]) rather than
-    applied twice. Respawns are bounded per slot and per batch; a slot
-    that keeps failing is {e abandoned} and its work degrades onto the
-    remaining workers. When nothing live remains, the respawn budget is
-    exhausted, or the batch deadline expires, {!map} fails fast with the
-    typed {!Degraded} report — it never hangs.
+    {b What this client adds to the pool.} Supervision — heartbeats,
+    suspicion, epoch fencing, respawn and re-dispatch — is the pool's.
+    A map adds two budgets of its own: the batch deadline
+    ([batch_deadline]) and the respawns allowed across all slots of one
+    batch ([max_respawns_total]). When either runs out, or every slot is
+    abandoned, {!map} fails fast with the typed {!Degraded} report — it
+    never hangs. Attempts have no deadline or budget of their own.
 
     {b Determinism.} The pool touches only wall-domain state: results
     are merged in index order by {!Phase.run_tasks} exactly as for the
     in-process backends, so tick-domain Obs exports are byte-identical
-    to [Sequential]. Everything the pool itself measures (respawns,
-    suspicions, fenced frames, plus the per-connection transport
-    counters) lives in {!metrics}, a registry that is never merged into
-    a run collector.
+    to [Sequential]. The pool's counters live in {!metrics}, a registry
+    that is never merged into a run collector.
 
     {b Wire faults.} A fault source installed with {!set_fault_source}
-    is consulted at every worker spawn: [Disconnect_worker] makes the
-    worker sever its socket on its first task, [Stall_worker] makes it
-    sleep before replying (tripping the failure detector and exercising
-    the epoch fence), [Partition_worker] makes the slot — including its
-    respawns — drop every frame for a batch interval, forcing
-    abandonment. *)
+    is keyed on (batch, slot). [Disconnect_worker] and [Stall_worker]
+    hit only the first task of a slot's first worker; a
+    [Partition_worker] mutes every dispatch to the slot, respawns
+    included, so the slot ends abandoned. *)
 
-type opts = {
-  workers : int;  (** worker processes per batch (>= 1) *)
-  socket_dir : string option;
-      (** [None] (default): anonymous socketpairs. [Some dir]: named
-          sockets under [dir], connected with bounded jittered backoff. *)
-  heartbeat_interval : float;  (** worker heartbeat period, seconds *)
-  phi : float;  (** failure-detector suspicion threshold *)
-  io_deadline : float;  (** per-frame read/write deadline, seconds *)
-  poll_interval : float;  (** coordinator select slice, seconds *)
-  batch_deadline : float;  (** whole-batch wall bound, seconds *)
-  max_respawns_per_slot : int;
-      (** respawns of one slot within a batch before it is abandoned *)
-  max_respawns_total : int;
-      (** respawns across all slots within a batch before {!Degraded} *)
-}
+type opts = Pool.opts
+(** The shared pool options; a map reads [batch_deadline] and
+    [max_respawns_total] and ignores the daemon's fields. *)
 
 val default_opts : opts
-(** 2 workers over socketpairs, 50 ms heartbeats, [phi] 8, 10 s frame
-    deadlines, 20 ms poll, 60 s batch deadline, 2 respawns per slot,
-    8 per batch. *)
+(** {!Pool.default_opts}. *)
 
 type degradation = {
   batch : int;
@@ -83,12 +58,10 @@ val pp_degradation : Format.formatter -> degradation -> unit
 type ctx
 
 val create : ?opts:opts -> ?log:Dstress_obs.Log.t -> unit -> ctx
-(** Raises [Invalid_argument] if [workers < 1] or an interval/deadline
-    is not positive. [log] (default {!Dstress_obs.Log.nop}) receives
-    wall-domain pool lifecycle events — spawns at [Debug], lost workers
-    at [Warn], abandonment/degradation at [Error] — and is threaded into
-    the coordinator-side transports; it never affects tick-domain
-    exports. *)
+(** Raises [Invalid_argument] on bad options ({!Pool.check_opts}).
+    [log] (default {!Dstress_obs.Log.nop}) receives the pool's
+    wall-domain lifecycle events, tagged with the batch, and
+    degradations at [Error]; it never affects tick-domain exports. *)
 
 val opts : ctx -> opts
 
@@ -101,10 +74,10 @@ val begin_run : ctx -> unit
     of a new run line up with a wire-fault plan's batch indices. *)
 
 val set_fault_source : ctx -> (batch:int -> worker:int -> Dstress_faults.Fault.fault list) -> unit
-(** Consulted at every worker spawn with the slot's batch and slot id;
-    only wire-level faults ({!Dstress_faults.Fault.is_wire}) are acted
-    on. Typically [Fault.Injector.wire_faults], so firings are recorded
-    in the same injector the engine reports from. *)
+(** Consulted at every dispatch with the batch and the slot id; only
+    wire-level faults ({!Dstress_faults.Fault.is_wire}) are acted on.
+    Typically [Fault.Injector.wire_faults], so firings are recorded in
+    the same injector the engine reports from. *)
 
 val clear_fault_source : ctx -> unit
 

@@ -7,12 +7,8 @@ let sequential = Sequential
 
 let parallel ~jobs = if jobs <= 1 then Sequential else Parallel { jobs }
 
-let distributed ?opts ?(workers = Distributed.default_opts.Distributed.workers) () =
-  let opts =
-    match opts with
-    | Some o -> { o with Distributed.workers }
-    | None -> { Distributed.default_opts with Distributed.workers }
-  in
+let distributed ?(opts = Distributed.default_opts) ?(workers = opts.Pool.workers) () =
+  let opts = { opts with Pool.workers } in
   Distributed { ctx = Distributed.create ~opts () }
 
 let distributed_ctx = function Distributed { ctx } -> Some ctx | _ -> None
@@ -59,13 +55,13 @@ let of_env () =
 let jobs = function
   | Sequential -> 1
   | Parallel { jobs } -> jobs
-  | Distributed { ctx } -> (Distributed.opts ctx).Distributed.workers
+  | Distributed { ctx } -> (Distributed.opts ctx).Pool.workers
 
 let name = function
   | Sequential -> "sequential"
   | Parallel { jobs } -> Printf.sprintf "parallel:%d" jobs
   | Distributed { ctx } ->
-      Printf.sprintf "distributed:%d" (Distributed.opts ctx).Distributed.workers
+      Printf.sprintf "distributed:%d" (Distributed.opts ctx).Pool.workers
 
 let map_sequential count f =
   let results = Array.make count None in

@@ -219,355 +219,62 @@ let request_executor r =
   | Ok e -> Ok e
 
 (* ------------------------------------------------------------------ *)
-(* Task / result frame payloads (coordinator <-> persistent worker)     *)
+(* Persistent pool: a request-typed client of Pool                     *)
 (* ------------------------------------------------------------------ *)
 
-(* task: reqid, injected stall/mute seconds, disconnect flag, request *)
-let task_header_bytes = 29
+type pool_opts = Pool.opts
 
-let task_payload ~reqid ~stall ~mute ~disconnect req_bytes =
-  let rlen = Bytes.length req_bytes in
-  let b = Bytes.create (task_header_bytes + rlen) in
-  Bytes.set_int64_le b 0 (Int64.of_int reqid);
-  Bytes.set_int64_le b 8 (Int64.bits_of_float stall);
-  Bytes.set_int64_le b 16 (Int64.bits_of_float mute);
-  Bytes.set_uint8 b 24 (if disconnect then 1 else 0);
-  Bytes.set_int32_le b 25 (Int32.of_int rlen);
-  Bytes.blit req_bytes 0 b task_header_bytes rlen;
-  b
-
-let parse_task p =
-  if Bytes.length p < task_header_bytes then None
-  else
-    let rlen = Int32.to_int (Bytes.get_int32_le p 25) in
-    if rlen < 0 || task_header_bytes + rlen > Bytes.length p then None
-    else
-      Some
-        ( Int64.to_int (Bytes.get_int64_le p 0),
-          Int64.float_of_bits (Bytes.get_int64_le p 8),
-          Int64.float_of_bits (Bytes.get_int64_le p 16),
-          Bytes.get_uint8 p 24 <> 0,
-          Bytes.sub p task_header_bytes rlen )
-
-(* result / error: reqid then the body (an encoded response / a message) *)
-let reply_payload ~reqid body =
-  let blen = Bytes.length body in
-  let b = Bytes.create (8 + blen) in
-  Bytes.set_int64_le b 0 (Int64.of_int reqid);
-  Bytes.blit body 0 b 8 blen;
-  b
-
-let parse_reply p =
-  if Bytes.length p < 8 then None
-  else Some (Int64.to_int (Bytes.get_int64_le p 0), Bytes.sub p 8 (Bytes.length p - 8))
-
-(* ------------------------------------------------------------------ *)
-(* Worker side (forked child — exits only through Unix._exit)          *)
-(* ------------------------------------------------------------------ *)
-
-let worker_loop conn ~heartbeat_interval ?(log = Log.nop) handler =
-  (* Writes are shared between the task loop and the heartbeat thread;
-     [mu] serializes them. An injected stall or mute holds [mu] for its
-     whole duration, so the worker genuinely stops writing — heartbeats
-     included — which is what trips the coordinator's suspicion. *)
-  let mu = Mutex.create () in
-  let send ~kind ~epoch ?trace payload =
-    Mutex.lock mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock mu)
-      (fun () -> ignore (Transport.send conn ~kind ~epoch ?trace payload))
-  in
-  (try send ~kind:Transport.Kind.hello ~epoch:0 Bytes.empty with _ -> Unix._exit 1);
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        try
-          while true do
-            Thread.delay heartbeat_interval;
-            send ~kind:Transport.Kind.heartbeat ~epoch:0 Bytes.empty
-          done
-        with _ -> ())
-      ()
-  in
-  (try
-     while true do
-       match Transport.recv conn ~timeout:1.0 with
-       | None -> ()
-       | Some fr when fr.Transport.kind = Transport.Kind.shutdown -> Unix._exit 0
-       | Some fr when fr.Transport.kind = Transport.Kind.task -> (
-           match parse_task fr.Transport.payload with
-           | None ->
-               send ~kind:Transport.Kind.error ~epoch:fr.Transport.epoch
-                 (reply_payload ~reqid:(-1) (Bytes.of_string "malformed task frame"))
-           | Some (reqid, stall, mute, disconnect, req_bytes) ->
-               let trace = fr.Transport.trace in
-               Log.debug log ~trace "worker task received"
-                 [ ("reqid", Log.Int reqid) ];
-               if mute > 0.0 then begin
-                 (* Injected partition: swallow the task and go silent long
-                    enough to be fenced; the coordinator re-dispatches. *)
-                 Mutex.lock mu;
-                 Thread.delay mute;
-                 Mutex.unlock mu
-               end
-               else begin
-                 if stall > 0.0 then begin
-                   Mutex.lock mu;
-                   Thread.delay stall;
-                   Mutex.unlock mu
-                 end;
-                 if disconnect then begin
-                   Transport.close conn;
-                   Unix._exit 0
-                 end;
-                 match decode_request req_bytes with
-                 | Error e ->
-                     send ~kind:Transport.Kind.error ~epoch:fr.Transport.epoch ~trace
-                       (reply_payload ~reqid (Bytes.of_string e))
-                 | Ok req -> (
-                     match handler req with
-                     | s ->
-                         Log.debug log ~trace "worker task completed"
-                           [ ("reqid", Log.Int reqid) ];
-                         send ~kind:Transport.Kind.result ~epoch:fr.Transport.epoch
-                           ~trace
-                           (reply_payload ~reqid (encode_response (Completed s)))
-                     | exception e ->
-                         (* A failed request must not take the worker down:
-                            report and stay warm for the next one. *)
-                         Log.warn log ~trace "worker task failed"
-                           [
-                             ("reqid", Log.Int reqid);
-                             ("error", Log.Str (Printexc.to_string e));
-                           ];
-                         send ~kind:Transport.Kind.error ~epoch:fr.Transport.epoch
-                           ~trace
-                           (reply_payload ~reqid (Bytes.of_string (Printexc.to_string e))))
-               end)
-       | Some _ -> ()
-     done
-   with _ -> Unix._exit 1);
-  Unix._exit 0
-
-(* ------------------------------------------------------------------ *)
-(* Persistent pool (coordinator side)                                  *)
-(* ------------------------------------------------------------------ *)
-
-type pool_opts = {
-  workers : int;
-  queue_depth : int;
-  heartbeat_interval : float;
-  phi : float;
-  io_deadline : float;
-  poll_interval : float;
-  request_deadline : float;
-  max_respawns_per_slot : int;
-  max_attempts_per_request : int;
-  slow_request_s : float;
-}
-
-let default_pool_opts =
-  {
-    workers = 2;
-    queue_depth = 64;
-    heartbeat_interval = 0.05;
-    phi = 8.0;
-    io_deadline = 10.0;
-    poll_interval = 0.02;
-    request_deadline = 120.0;
-    max_respawns_per_slot = 2;
-    max_attempts_per_request = 3;
-    slow_request_s = 5.0;
-  }
+let default_pool_opts = Pool.default_opts
 
 type entry = {
   id : int;
-  req : request;
-  reply : response -> unit;
   trace : int64;  (** trace ID stamped on every frame and log line *)
   submitted_at : float;
+  reply : response -> unit;
+  mutable dispatched_at : float;
   mutable attempts : int;  (** dispatches so far *)
 }
 
-type slot = {
-  sid : int;
-  mutable pid : int;
-  mutable conn : Transport.t;
-  mutable epoch : int;
-  mutable det : Failure_detector.t;
-  mutable running : entry option;
-  mutable dispatched_at : float;
-  mutable alive : bool;
-  mutable abandoned : bool;
-  mutable respawns : int;
-}
-
 type pool = {
+  pool : Pool.t;
   po : pool_opts;
-  handler : request -> summary;
   m : Metrics.t;
   log : Log.t;
   started_at : float;
-  fork_fds : unit -> Unix.file_descr list;
+  mutable next_id : int;
   mutable next_trace : int64;
   mutable queue_high_water : int;
-  mutable slots : slot array;
-  queue : entry Queue.t;
-  mutable next_id : int;
-  mutable next_epoch : int;
-  mutable dispatched : int;  (** dispatch counter — the fault plans' "batch" *)
-  mutable fenced : (Transport.t * int) list;
-  mutable pids : int list;  (** every child ever forked, for reaping *)
-  mutable fault_source :
-    (request_index:int -> worker:int -> Fault.fault list) option;
-  mutable closed : bool;
 }
 
 let now () = Unix.gettimeofday ()
 let close_quietly fdesc = try Unix.close fdesc with Unix.Unix_error _ -> ()
 
-let has_partition = List.exists (function Fault.Partition_worker _ -> true | _ -> false)
-let has_disconnect = List.exists (function Fault.Disconnect_worker _ -> true | _ -> false)
-
-let find_stall =
-  List.find_map (function Fault.Stall_worker { seconds; _ } -> Some seconds | _ -> None)
-
 let pool_metrics p = p.m
 let pool_log p = p.log
-let set_pool_fault_source p src = p.fault_source <- Some src
-let pool_fds p =
-  Array.to_list p.slots
-  |> List.filter_map (fun s -> if s.alive then Some (Transport.fd s.conn) else None)
 
-let pool_idle p =
-  Queue.is_empty p.queue && Array.for_all (fun s -> s.running = None) p.slots
+let set_pool_fault_source p src =
+  Pool.set_fault_source p.pool (fun ~dispatch ~slot ~fresh:_ ->
+      src ~request_index:dispatch ~worker:slot)
 
-(* Fork one persistent worker under a fresh epoch. [extra_close] lists
-   every coordinator-side descriptor the child inherits but must not
-   keep open: sibling worker sockets, fenced stragglers, and whatever
-   the embedding server reports (listener + client connections) — a
-   leaked fd would mask an EOF elsewhere. *)
-let spawn p ~extra_close =
-  let o = p.po in
-  let epoch = p.next_epoch in
-  p.next_epoch <- epoch + 1;
-  flush stdout;
-  flush stderr;
-  let cfd, wfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.fork () with
-  | 0 ->
-      close_quietly cfd;
-      List.iter close_quietly extra_close;
-      let conn =
-        Transport.of_fd ~log:p.log ~read_deadline:o.io_deadline
-          ~write_deadline:o.io_deadline wfd
-      in
-      worker_loop conn ~heartbeat_interval:o.heartbeat_interval ~log:p.log p.handler
-  | pid ->
-      Unix.close wfd;
-      let conn =
-        Transport.of_fd ~metrics:p.m ~log:p.log ~read_deadline:o.io_deadline
-          ~write_deadline:o.io_deadline cfd
-      in
-      p.pids <- pid :: p.pids;
-      Log.info p.log "worker spawned"
-        [ ("pid", Log.Int pid); ("epoch", Log.Int epoch) ];
-      (pid, conn, epoch)
+(* The worker side: the task body is an encoded request, the result an
+   encoded [Completed] response. *)
+let serve_request handler body =
+  match decode_request body with
+  | Error e -> failwith ("undecodable request: " ^ e)
+  | Ok req -> encode_response (Completed (handler req))
 
-let fresh_detector o =
-  let det = Failure_detector.create ~phi:o.phi ~expected_interval:o.heartbeat_interval () in
-  Failure_detector.start det ~now:(now ());
-  det
-
-let open_coordinator_fds p =
-  pool_fds p @ List.map (fun (c, _) -> Transport.fd c) p.fenced
-
-let create_pool ?(opts = default_pool_opts) ?(log = Log.nop)
-    ?(fork_fds = fun () -> []) ~handler () =
-  if opts.workers < 1 then invalid_arg "Service.create_pool: workers < 1";
-  if opts.queue_depth < 1 then invalid_arg "Service.create_pool: queue_depth < 1";
-  if not (opts.heartbeat_interval > 0.0) then
-    invalid_arg "Service.create_pool: heartbeat_interval <= 0";
-  if not (opts.phi > 1.0) then invalid_arg "Service.create_pool: phi <= 1";
-  if
-    not
-      (opts.io_deadline > 0.0 && opts.poll_interval > 0.0 && opts.request_deadline > 0.0)
-  then invalid_arg "Service.create_pool: non-positive deadline";
-  if opts.max_respawns_per_slot < 0 || opts.max_attempts_per_request < 1 then
-    invalid_arg "Service.create_pool: bad budget";
-  (* Writes to a worker that died race its EOF; without this the EPIPE
-     becomes a fatal SIGPIPE instead of a typed [Closed] error. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let p =
-    {
-      po = opts;
-      handler;
-      m = Metrics.create ();
-      log;
-      started_at = now ();
-      fork_fds;
-      next_trace = 1L;
-      queue_high_water = 0;
-      slots = [||];
-      queue = Queue.create ();
-      next_id = 0;
-      next_epoch = 0;
-      dispatched = 0;
-      fenced = [];
-      pids = [];
-      fault_source = None;
-      closed = false;
-    }
-  in
-  let created = ref [] in
-  p.slots <-
-    Array.init opts.workers (fun sid ->
-        let pid, conn, epoch = spawn p ~extra_close:(!created @ fork_fds ()) in
-        created := Transport.fd conn :: !created;
-        {
-          sid;
-          pid;
-          conn;
-          epoch;
-          det = fresh_detector opts;
-          running = None;
-          dispatched_at = 0.0;
-          alive = true;
-          abandoned = false;
-          respawns = 0;
-        });
-  p
-
-let submit p req reply =
-  if p.closed then invalid_arg "Service.submit: pool is shut down";
-  if Array.for_all (fun s -> s.abandoned) p.slots then begin
-    Log.error p.log "request refused: no live workers" [];
-    `No_workers
-  end
-  else if Queue.length p.queue >= p.po.queue_depth then begin
-    Metrics.incr p.m "service.requests_rejected";
-    Log.warn p.log "request rejected: queue full"
-      [ ("queue_depth", Log.Int (Queue.length p.queue)) ];
-    `Queue_full
-  end
-  else begin
-    let trace = p.next_trace in
-    p.next_trace <- Int64.add trace 1L;
-    let e =
-      { id = p.next_id; req; reply; trace; submitted_at = now (); attempts = 0 }
-    in
-    p.next_id <- p.next_id + 1;
-    Queue.add e p.queue;
-    Metrics.incr p.m "service.requests_enqueued";
-    let depth = Queue.length p.queue in
-    if depth > p.queue_high_water then p.queue_high_water <- depth;
-    Metrics.set p.m "service.queue_depth" (float_of_int depth);
-    Metrics.set p.m "service.queue_high_water" (float_of_int p.queue_high_water);
-    if Log.enabled p.log Log.Debug then
-      Log.debug p.log ~trace "request enqueued"
-        [ ("id", Log.Int e.id); ("queue_depth", Log.Int depth) ];
-    `Queued
-  end
+let create_pool ?(opts = default_pool_opts) ?(log = Log.nop) ?fork_fds ~handler () =
+  let m = Metrics.create () in
+  {
+    pool = Pool.create ~opts ~log ~metrics:m ?fork_fds ~handler:(serve_request handler) ();
+    po = opts;
+    m;
+    log;
+    started_at = now ();
+    next_id = 0;
+    next_trace = 1L;
+    queue_high_water = 0;
+  }
 
 let finish p e resp =
   let outcome =
@@ -602,304 +309,79 @@ let finish p e resp =
       ];
   e.reply resp
 
-(* A redispatch burns one attempt; past the budget the request degrades
-   with a typed outcome instead of cycling through respawns forever. *)
-let redispatch p e reason =
-  if e.attempts >= p.po.max_attempts_per_request then
-    finish p e
-      (Degraded
-         (Printf.sprintf "request failed after %d attempt(s): %s" e.attempts reason))
-  else begin
-    Metrics.incr p.m "service.redispatches";
-    Log.warn p.log ~trace:e.trace "request re-queued"
-      [ ("id", Log.Int e.id); ("attempts", Log.Int e.attempts);
-        ("reason", Log.Str reason) ];
-    Queue.add e p.queue
-  end
+let on_event p e = function
+  | Pool.Dispatched { slot; attempt } ->
+      e.dispatched_at <- now ();
+      e.attempts <- attempt;
+      Metrics.observe_sketch p.m "service.queue_wait_s" (e.dispatched_at -. e.submitted_at);
+      Metrics.incr p.m "service.requests_dispatched";
+      if Log.enabled p.log Log.Debug then
+        Log.debug p.log ~trace:e.trace "request dispatched"
+          [ ("id", Log.Int e.id); ("worker", Log.Int slot); ("attempt", Log.Int attempt) ]
+  | Pool.Requeued { attempt; reason } ->
+      Metrics.incr p.m "service.redispatches";
+      Log.warn p.log ~trace:e.trace "request re-queued"
+        [ ("id", Log.Int e.id); ("attempts", Log.Int attempt); ("reason", Log.Str reason) ]
+  | Pool.Finished r ->
+      (match r with
+      | Ok _ | Error (Pool.Raised _) ->
+          Metrics.observe_sketch p.m "service.dispatch_s" (now () -. e.dispatched_at)
+      | Error _ -> ());
+      finish p e
+        (match r with
+        | Ok body -> (
+            match decode_response body with
+            | Ok resp -> resp
+            | Error msg ->
+                Metrics.incr p.m "pool.task_errors";
+                Degraded ("undecodable worker response: " ^ msg))
+        (* A worker-side failure is deterministic — retrying on another
+           worker would fail identically. Degrade. *)
+        | Error (Pool.Raised msg) -> Degraded ("request failed on worker: " ^ msg)
+        | Error (Pool.Exhausted { attempts; reason }) ->
+            Degraded (Printf.sprintf "request failed after %d attempt(s): %s" attempts reason)
+        | Error Pool.No_workers -> Degraded "no live workers remain"
+        | Error Pool.Shut_down -> Degraded "daemon shutting down before the request finished")
 
-let fail_all_queued p reason =
-  Queue.iter (fun e -> finish p e (Degraded reason)) p.queue;
-  Queue.clear p.queue
+let set_queue_depth p =
+  Metrics.set p.m "service.queue_depth" (float_of_int (Pool.queued p.pool))
 
-let respawn p s =
-  s.respawns <- s.respawns + 1;
-  Metrics.incr p.m "pool.respawns";
-  if s.respawns > p.po.max_respawns_per_slot then begin
-    s.abandoned <- true;
-    Metrics.incr p.m "pool.slots_abandoned";
-    Log.error p.log "worker slot abandoned: respawn budget exhausted"
-      [ ("worker", Log.Int s.sid); ("respawns", Log.Int s.respawns) ];
-    if Array.for_all (fun s -> s.abandoned) p.slots then
-      fail_all_queued p "no live workers remain"
+let submit p req reply =
+  if Pool.active p.pool = 0 then begin
+    Log.error p.log "request refused: no live workers" [];
+    `No_workers
+  end
+  else if Pool.queued p.pool >= p.po.queue_depth then begin
+    Metrics.incr p.m "service.requests_rejected";
+    Log.warn p.log "request rejected: queue full"
+      [ ("queue_depth", Log.Int (Pool.queued p.pool)) ];
+    `Queue_full
   end
   else begin
-    let pid, conn, epoch =
-      spawn p ~extra_close:(open_coordinator_fds p @ p.fork_fds ())
+    let trace = p.next_trace in
+    p.next_trace <- Int64.add trace 1L;
+    let e =
+      { id = p.next_id; trace; submitted_at = now (); reply; dispatched_at = 0.0; attempts = 0 }
     in
-    s.pid <- pid;
-    s.conn <- conn;
-    s.epoch <- epoch;
-    s.det <- fresh_detector p.po;
-    s.alive <- true
+    p.next_id <- p.next_id + 1;
+    Pool.submit p.pool ~trace (encode_request req) (on_event p e);
+    Metrics.incr p.m "service.requests_enqueued";
+    let depth = Pool.queued p.pool in
+    if depth > p.queue_high_water then p.queue_high_water <- depth;
+    set_queue_depth p;
+    Metrics.set p.m "service.queue_high_water" (float_of_int p.queue_high_water);
+    if Log.enabled p.log Log.Debug then
+      Log.debug p.log ~trace "request enqueued"
+        [ ("id", Log.Int e.id); ("queue_depth", Log.Int depth) ];
+    `Queued
   end
-
-(* Fenced retirement keeps the dead slot's socket readable so a
-   straggler's late reply is observed (and dropped by epoch) instead of
-   lingering in a kernel buffer; the entry is re-queued under a fresh
-   attempt, and the slot respawns under a fresh epoch. *)
-let on_dead ?(fence = false) p s metric reason =
-  Metrics.incr p.m metric;
-  Log.warn p.log
-    ?trace:(match s.running with Some e -> Some e.trace | None -> None)
-    "worker lost"
-    [
-      ("worker", Log.Int s.sid);
-      ("pid", Log.Int s.pid);
-      ("epoch", Log.Int s.epoch);
-      ("reason", Log.Str reason);
-      ("fenced", Log.Bool fence);
-    ];
-  if fence then p.fenced <- (s.conn, s.epoch) :: p.fenced else Transport.close s.conn;
-  s.alive <- false;
-  (match s.running with
-  | Some e ->
-      s.running <- None;
-      redispatch p e reason
-  | None -> ());
-  respawn p s
-
-let dispatch_ready p =
-  Array.iter
-    (fun s ->
-      if s.alive && (not s.abandoned) && s.running = None && not (Queue.is_empty p.queue)
-      then begin
-        let e = Queue.pop p.queue in
-        let idx = p.dispatched in
-        p.dispatched <- idx + 1;
-        e.attempts <- e.attempts + 1;
-        let faults =
-          match p.fault_source with
-          | None -> []
-          | Some src ->
-              List.filter
-                (fun fl -> Fault.is_wire (Fault.kind_of fl))
-                (src ~request_index:idx ~worker:s.sid)
-        in
-        let stall = Option.value (find_stall faults) ~default:0.0 in
-        (* Long enough that the heartbeat detector fences the mute worker
-           even when the request deadline is generous. *)
-        let mute =
-          if has_partition faults then (3.0 *. p.po.phi *. p.po.heartbeat_interval) +. 0.5
-          else 0.0
-        in
-        let disconnect = has_disconnect faults in
-        s.running <- Some e;
-        s.dispatched_at <- now ();
-        Metrics.observe_sketch p.m "service.queue_wait_s"
-          (s.dispatched_at -. e.submitted_at);
-        if Log.enabled p.log Log.Debug then
-          Log.debug p.log ~trace:e.trace "request dispatched"
-            [
-              ("id", Log.Int e.id);
-              ("worker", Log.Int s.sid);
-              ("attempt", Log.Int e.attempts);
-            ];
-        match
-          Transport.send s.conn ~kind:Transport.Kind.task ~epoch:s.epoch
-            ~trace:e.trace
-            (task_payload ~reqid:e.id ~stall ~mute ~disconnect (encode_request e.req))
-        with
-        | _ -> Metrics.incr p.m "service.requests_dispatched"
-        | exception Transport.Error _ ->
-            on_dead p s "pool.worker_disconnects" "worker connection died at dispatch"
-      end)
-    p.slots;
-  Metrics.set p.m "service.queue_depth" (float_of_int (Queue.length p.queue))
-
-let apply_reply p ~slot ~epoch ~is_error payload =
-  match parse_reply payload with
-  | None -> Metrics.incr p.m "transport.fenced_frames"
-  | Some (reqid, body) -> (
-      let current =
-        match slot with
-        | Some s -> (
-            s.epoch = epoch && match s.running with Some e -> e.id = reqid | None -> false)
-        | None -> false
-      in
-      if not current then Metrics.incr p.m "transport.fenced_frames"
-      else
-        match slot with
-        | None -> ()
-        | Some s -> (
-            let e = Option.get s.running in
-            s.running <- None;
-            Metrics.observe_sketch p.m "service.dispatch_s"
-              (now () -. s.dispatched_at);
-            if is_error then begin
-              (* A worker-side failure is deterministic — retrying on
-                 another worker would fail identically. Degrade. *)
-              Metrics.incr p.m "pool.task_errors";
-              finish p e (Degraded ("request failed on worker: " ^ Bytes.to_string body))
-            end
-            else
-              match decode_response body with
-              | Ok resp -> finish p e resp
-              | Error msg ->
-                  Metrics.incr p.m "pool.task_errors";
-                  finish p e (Degraded ("undecodable worker response: " ^ msg))))
-
-let drain_slot p s =
-  let continue_ = ref true in
-  while !continue_ && s.alive do
-    (* Poll, never wait: the caller's select already proved readability,
-       and a blocking drain would tax every reply with a full timeout
-       spent discovering the stream is empty. *)
-    match Transport.recv s.conn ~timeout:0.0 with
-    | None -> continue_ := false
-    | Some fr ->
-        Failure_detector.observe s.det ~now:(now ());
-        let k = fr.Transport.kind in
-        if k = Transport.Kind.result then
-          apply_reply p ~slot:(Some s) ~epoch:fr.Transport.epoch ~is_error:false
-            fr.Transport.payload
-        else if k = Transport.Kind.error then
-          apply_reply p ~slot:(Some s) ~epoch:fr.Transport.epoch ~is_error:true
-            fr.Transport.payload
-    | exception Transport.Error (Transport.Closed _) ->
-        continue_ := false;
-        on_dead p s "pool.worker_disconnects" "worker connection closed"
-    | exception Transport.Error (Transport.Integrity _) ->
-        continue_ := false;
-        on_dead p s "pool.integrity_failures" "worker stream integrity failure"
-    | exception Transport.Error (Transport.Timeout _) ->
-        continue_ := false;
-        on_dead p s "pool.io_timeouts" "worker io timeout"
-  done
-
-(* Returns [true] to keep the fenced connection alive. *)
-let drain_fenced p (c, epoch) =
-  try
-    let continue_ = ref true in
-    while !continue_ do
-      match Transport.recv c ~timeout:0.0 with
-      | None -> continue_ := false
-      | Some fr ->
-          let k = fr.Transport.kind in
-          if k = Transport.Kind.result || k = Transport.Kind.error then
-            apply_reply p ~slot:None ~epoch ~is_error:(k = Transport.Kind.error)
-              fr.Transport.payload
-    done;
-    true
-  with Transport.Error _ ->
-    Transport.close c;
-    false
-
-let reap_exited p =
-  p.pids <-
-    List.filter
-      (fun pid ->
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> true
-        | _ -> false
-        | exception Unix.Unix_error _ -> false)
-      p.pids
 
 let pool_step p ~timeout =
-  if p.closed then invalid_arg "Service.pool_step: pool is shut down";
   Metrics.set p.m "service.uptime_seconds" (now () -. p.started_at);
-  dispatch_ready p;
-  let fds = open_coordinator_fds p in
-  let readable =
-    if fds = [] then []
-    else
-      match Unix.select fds [] [] timeout with
-      | r, _, _ -> r
-      | exception Unix.Unix_error (EINTR, _, _) -> []
-  in
-  if readable <> [] then begin
-    Array.iter
-      (fun s -> if s.alive && List.mem (Transport.fd s.conn) readable then drain_slot p s)
-      p.slots;
-    p.fenced <-
-      List.filter
-        (fun ((c, _) as entry) ->
-          if List.mem (Transport.fd c) readable then drain_fenced p entry else true)
-        p.fenced
-  end;
-  (* Heartbeat suspicion and the per-attempt deadline both retire the
-     slot's epoch — a wedged or muted worker can never hang a request. *)
-  Array.iter
-    (fun s ->
-      if s.alive then
-        if Failure_detector.suspected s.det ~now:(now ()) then
-          on_dead ~fence:true p s "pool.suspicions" "worker suspected by heartbeat detector"
-        else if
-          s.running <> None && now () -. s.dispatched_at > p.po.request_deadline
-        then on_dead ~fence:true p s "pool.request_timeouts" "request deadline expired")
-    p.slots;
-  (* Re-queued work should not wait for the caller's next turn. *)
-  dispatch_ready p;
-  reap_exited p
+  Pool.step p.pool ~timeout;
+  set_queue_depth p
 
-let shutdown_pool ?(drain_deadline = 30.0) p =
-  if not p.closed then begin
-    let deadline = now () +. drain_deadline in
-    (try
-       while (not (pool_idle p)) && now () < deadline do
-         pool_step p ~timeout:(min p.po.poll_interval (max 0.0 (deadline -. now ())))
-       done
-     with _ -> ());
-    (* Anything still unfinished gets a typed outcome, never silence. *)
-    Array.iter
-      (fun s ->
-        match s.running with
-        | Some e ->
-            s.running <- None;
-            finish p e (Degraded "daemon shutting down before the request finished")
-        | None -> ())
-      p.slots;
-    fail_all_queued p "daemon shutting down before the request finished";
-    p.closed <- true;
-    Array.iter
-      (fun s ->
-        if s.alive then begin
-          (try
-             ignore
-               (Transport.send s.conn ~kind:Transport.Kind.shutdown ~epoch:s.epoch
-                  Bytes.empty)
-           with _ -> ());
-          Transport.close s.conn
-        end)
-      p.slots;
-    List.iter (fun (c, _) -> Transport.close c) p.fenced;
-    p.fenced <- [];
-    let grace = now () +. 2.0 in
-    let rec reap remaining =
-      match remaining with
-      | [] -> ()
-      | _ when now () > grace ->
-          List.iter
-            (fun pid ->
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-            remaining
-      | _ ->
-          let still =
-            List.filter
-              (fun pid ->
-                match Unix.waitpid [ Unix.WNOHANG ] pid with
-                | 0, _ -> true
-                | _ -> false
-                | exception Unix.Unix_error _ -> false)
-              remaining
-          in
-          if still <> [] then Unix.sleepf 0.01;
-          reap still
-    in
-    reap p.pids;
-    p.pids <- []
-  end
-
+let shutdown_pool ?(drain_deadline = 30.0) p = Pool.shutdown ~drain_deadline p.pool
 
 (* ------------------------------------------------------------------ *)
 (* Live stats snapshot (the Stats admin request)                       *)
@@ -969,24 +451,22 @@ let pool_stats p =
       (Metrics.names p.m)
   in
   let workers =
-    Array.to_list p.slots
-    |> List.map (fun s ->
-           {
-             w_slot = s.sid;
-             w_pid = s.pid;
-             w_state =
-               (if s.abandoned then "abandoned"
-                else if s.running <> None then "busy"
-                else "idle");
-             w_epoch = s.epoch;
-             w_respawns = s.respawns;
-             w_trace =
-               (match s.running with Some e -> e.trace | None -> 0L);
-           })
+    List.map
+      (fun (s : Pool.slot_state) ->
+        {
+          w_slot = s.slot;
+          w_pid = s.pid;
+          w_state =
+            (if s.abandoned then "abandoned" else if s.running <> None then "busy" else "idle");
+          w_epoch = s.epoch;
+          w_respawns = s.respawns;
+          w_trace = Option.value s.running ~default:0L;
+        })
+      (Pool.slot_states p.pool)
   in
   {
     uptime_s = now () -. p.started_at;
-    queue_depth = Queue.length p.queue;
+    queue_depth = Pool.queued p.pool;
     queue_high_water = p.queue_high_water;
     queue_capacity = p.po.queue_depth;
     workers;
@@ -1246,16 +726,16 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
     () =
   let clients : client list ref = ref [] in
   let listener_open = ref true in
-  (* The respawn path forks mid-service: children must drop the listener
-     and every client connection they inherit. *)
-  let fork_fds () =
+  (* The listener and every client connection: selected on, and closed
+     by every child the respawn path forks mid-service. *)
+  let outer_fds () =
     (if !listener_open then [ listener ] else [])
     @ List.filter_map (fun c -> if c.dead then None else Some (Transport.fd c.cconn)) !clients
   in
   (* Workers fork here — before any Domain.spawn in this process. *)
-  let pool = create_pool ~opts:pool_opts ~log ~fork_fds ~handler () in
+  let pool = create_pool ~opts:pool_opts ~log ~fork_fds:outer_fds ~handler () in
   Log.info log "daemon listening"
-    [ ("addr", Log.Str addr); ("workers", Log.Int pool_opts.workers) ];
+    [ ("addr", Log.Str addr); ("workers", Log.Int pool_opts.Pool.workers) ];
   let draining = ref false in
   let install signal =
     match Sys.signal signal (Sys.Signal_handle (fun _ -> draining := true)) with
@@ -1327,7 +807,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
   in
   ready ~addr;
   Fun.protect ~finally:restore (fun () ->
-      let finished () = !draining && pool_idle pool in
+      let finished () = !draining && Pool.idle pool.pool in
       while not (finished ()) do
         if stop () then draining := true;
         if !draining && !listener_open then begin
@@ -1335,13 +815,7 @@ let serve ?(pool_opts = default_pool_opts) ?(log = Log.nop)
           Log.info log "daemon draining: listener closed" [];
           close_quietly listener
         end;
-        let client_fds =
-          List.filter_map (fun c -> if c.dead then None else Some (Transport.fd c.cconn)) !clients
-        in
-        let fds =
-          (if !listener_open then [ listener ] else [])
-          @ client_fds @ pool_fds pool
-        in
+        let fds = outer_fds () @ Pool.fds pool.pool in
         let readable =
           if fds = [] then []
           else

@@ -1,22 +1,20 @@
 (** Daemon mode: a persistent worker pool serving concurrent clearing
     requests over the framed transport ([DSTRESS-REQ/1]).
 
-    The {!Distributed} backend pays its dispatch tax per batch: every
-    [map] forks a fresh worker set so the children snapshot the current
-    coordinator heap. A long-running daemon inverts the economics — the
-    work arrives as self-contained {e requests} (plain wire data, no
-    closures), so workers can be forked {b once at startup} and reused
-    across requests forever. This module provides the three layers of
-    that daemon:
+    The daemon is the second client of {!Pool}. {!Distributed} creates a
+    pool per batch, so that its workers snapshot the current coordinator
+    heap. The daemon's work arrives as self-contained {e requests}
+    (plain wire data, no closures), so it forks its pool {b once at
+    startup} and reuses the workers across requests. Supervision is the
+    pool's; this module adds three layers:
 
     + a typed request/response codec ([DSTRESS-REQ/1], {!request} /
       {!response}) carried in {!Transport.Kind.request} /
       [response] frames;
-    + a persistent {!pool}: workers forked at creation (inheriting the
-      handler via copy-on-write), kept warm across requests, supervised
-      by the same phi-accrual heartbeat detection, epoch fencing and
-      respawn/re-dispatch machinery as the per-batch pool — plus a
-      bounded submission queue with typed backpressure;
+    + a request-typed view of the pool ({!pool}): a bounded submission
+      queue with typed backpressure, per-request trace IDs, latency
+      sketches and a live {!stats} snapshot. Wire faults are keyed on
+      (dispatch index, slot);
     + a single-threaded {!serve} loop multiplexing a listener (Unix
       socket or TCP), client connections and the pool, with graceful
       drain on SIGTERM/SIGINT.
@@ -100,28 +98,13 @@ val request_executor : request -> (Executor.t, string) result
 
 (** {1 Persistent pool} *)
 
-type pool_opts = {
-  workers : int;  (** persistent worker processes, forked at creation *)
-  queue_depth : int;  (** bound on requests awaiting dispatch *)
-  heartbeat_interval : float;
-  phi : float;  (** suspicion threshold of the phi-accrual detector *)
-  io_deadline : float;  (** per-frame read/write deadline, seconds *)
-  poll_interval : float;  (** max wait per {!pool_step} select *)
-  request_deadline : float;
-      (** wall bound on one dispatched attempt; exceeding it fences the
-          worker and re-dispatches — a wedged worker can never hang a
-          request *)
-  max_respawns_per_slot : int;  (** then the slot is abandoned *)
-  max_attempts_per_request : int;  (** then the request degrades *)
-  slow_request_s : float;
-      (** end-to-end latency above which a finished request logs at
-          [Warn] instead of [Info] (the slow-request log) *)
-}
+type pool_opts = Pool.opts
+(** The shared pool options; the daemon reads [queue_depth],
+    [request_deadline], [max_attempts_per_request] and [slow_request_s]
+    and ignores the per-batch fields. *)
 
 val default_pool_opts : pool_opts
-(** 2 workers, queue depth 64, 50 ms heartbeats, phi 8, 10 s io
-    deadline, 20 ms poll, 120 s request deadline, 2 respawns per slot,
-    3 attempts per request, 5 s slow-request threshold. *)
+(** {!Pool.default_opts}. *)
 
 type pool
 
@@ -132,24 +115,18 @@ val create_pool :
   handler:(request -> summary) ->
   unit ->
   pool
-(** Fork [opts.workers] persistent workers over anonymous socketpairs.
-    Must run before any [Domain.spawn] in this process. Each worker
-    inherits [handler] via fork and serves requests one at a time:
-    heartbeating from a side thread, replying [Completed] (or a typed
-    error that surfaces as [Degraded]) in an epoch-tagged result frame.
-    A handler exception inside a worker fails only that request, never
-    the worker. [fork_fds] (consulted at every fork, including respawns)
-    names descriptors the embedding process holds — listener, client
-    connections — that children must close; SIGPIPE is set to ignore so
-    a write racing a worker death stays a typed [Closed] error.
+(** Create the daemon's {!Pool} ({!Pool.create}: forks [opts.workers]
+    workers, so it must run before any [Domain.spawn]). Each worker
+    decodes a request, runs [handler] on it and replies with an encoded
+    [Completed]; a handler exception degrades only that request.
+    [fork_fds] names descriptors the embedding process holds (listener,
+    client connections) that children must close.
 
-    [log] (default {!Dstress_obs.Log.nop}) receives the pool's
-    wall-domain lifecycle events — spawn/respawn/abandon, suspicion and
-    fencing, per-request enqueue/dispatch/finish (the per-request lines
-    at [Debug], completions at [Info], failures and slow requests at
-    [Warn]/[Error]) — every line stamped with the request's trace ID.
-    The same logger is inherited by the forked workers and threaded into
-    their transports. *)
+    [log] (default {!Dstress_obs.Log.nop}) receives the pool's lifecycle
+    events plus per-request enqueue/dispatch/finish lines (enqueue and
+    dispatch at [Debug], completions at [Info], re-queues, failures and
+    slow requests at [Warn]/[Error]), each stamped with the request's
+    trace ID. *)
 
 val pool_metrics : pool -> Dstress_obs.Obs.Metrics.t
 (** Wall-domain supervision counters ([service.*], [pool.*],
@@ -181,22 +158,12 @@ val submit :
     the caller owns the backpressure reply. *)
 
 val pool_step : pool -> timeout:float -> unit
-(** One supervision turn: dispatch queued requests to idle live workers,
-    wait up to [timeout] for worker frames, apply epoch-fenced results,
-    run heartbeat suspicion / request deadlines, respawn and re-dispatch
-    as needed, reap exited children. [timeout] 0 polls. *)
-
-val pool_idle : pool -> bool
-(** No queued and no in-flight requests. *)
-
-val pool_fds : pool -> Unix.file_descr list
-(** Live worker descriptors, for embedding in an outer select. *)
+(** One supervision turn ({!Pool.step}); [timeout] 0 polls. *)
 
 val shutdown_pool : ?drain_deadline:float -> pool -> unit
-(** Finish queued + in-flight requests (stepping until {!pool_idle} or
-    [drain_deadline] seconds, default 30 — any survivors degrade with a
-    shutdown message), then stop workers: shutdown frames, a grace
-    period, SIGKILL stragglers, reap every child. Idempotent. *)
+(** {!Pool.shutdown} with [drain_deadline] default 30 s: queued and
+    in-flight requests get that long to finish, and any survivors
+    degrade with a shutdown message. Idempotent. *)
 
 (** {1 Live stats}
 

@@ -351,7 +351,7 @@ let check_summary_equal label (want : Service.summary) (got : Service.summary) =
 let quick_opts =
   {
     Service.default_pool_opts with
-    Service.workers = 2;
+    Pool.workers = 2;
     poll_interval = 0.02;
     request_deadline = 60.0;
   }
@@ -412,7 +412,7 @@ let test_pool_differential () =
   Service.shutdown_pool pool
 
 let test_pool_queue_backpressure () =
-  let opts = { quick_opts with Service.workers = 1; queue_depth = 2 } in
+  let opts = { quick_opts with Pool.workers = 1; queue_depth = 2 } in
   let pool = Service.create_pool ~opts ~handler () in
   let pending = ref 0 in
   let submit r =
@@ -470,7 +470,7 @@ let test_pool_chaos_soak () =
   let opts =
     {
       quick_opts with
-      Service.request_deadline = 20.0;
+      Pool.request_deadline = 20.0;
       max_respawns_per_slot = 8;
       max_attempts_per_request = 4;
     }

@@ -212,7 +212,7 @@ let test_metrics_quantiles () =
   | Some s -> Alcotest.(check int) "sketch accessor" 4 (Sketch.count s)
   | None -> Alcotest.fail "sketch must exist");
   Alcotest.(check bool) "absent sketch is None" true (Metrics.sketch m "nope" = None);
-  (match Metrics.observe m "lat" 1.0 with
+  (match Metrics.incr m "lat" with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "kind mixing must raise");
   (* merge_into copies, so mutating the source later must not leak. *)
@@ -381,7 +381,7 @@ let tiny_request =
   }
 
 let pool_opts =
-  { Service.default_pool_opts with Service.workers = 2; poll_interval = 0.02 }
+  { Service.default_pool_opts with Pool.workers = 2; poll_interval = 0.02 }
 
 (* Parent-side events only: worker processes log into their own forked
    copy of the ring. The sink runs under the log mutex, on the pool's
@@ -412,7 +412,7 @@ let test_pool_stats_end_to_end () =
   Alcotest.(check bool) "uptime advanced" true (st.Service.uptime_s > 0.0);
   Alcotest.(check int) "queue drained" 0 st.Service.queue_depth;
   Alcotest.(check bool) "high water observed" true (st.Service.queue_high_water >= 1);
-  Alcotest.(check int) "capacity echoed" pool_opts.Service.queue_depth
+  Alcotest.(check int) "capacity echoed" pool_opts.Pool.queue_depth
     st.Service.queue_capacity;
   Alcotest.(check int) "one stat per slot" 2 (List.length st.Service.workers);
   List.iter
@@ -458,7 +458,7 @@ let test_pool_stats_end_to_end () =
 
 let test_pool_slow_request_logged () =
   let log, events = collecting_log ~level:Log.Warn () in
-  let opts = { pool_opts with Service.slow_request_s = 0.0 } in
+  let opts = { pool_opts with Pool.slow_request_s = 0.0 } in
   let pool = Service.create_pool ~opts ~log ~handler:(fun _ -> tiny_summary) () in
   submit_n pool 1;
   let slow =
@@ -533,7 +533,7 @@ let check_exports_equal label (a : Engine.report) (b : Engine.report) =
   Alcotest.(check string) (label ^ ": metrics csv") (Obs.metrics_csv a.Engine.obs)
     (Obs.metrics_csv b.Engine.obs)
 
-let dist_opts = { Distributed.default_opts with Distributed.workers = 2 }
+let dist_opts = { Distributed.default_opts with Pool.workers = 2 }
 
 let test_differential_logging () =
   let fx = en_fixture () in

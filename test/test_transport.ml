@@ -316,7 +316,7 @@ let test_detector_burst_floor_and_clamp () =
 let quick_opts =
   {
     Distributed.default_opts with
-    Distributed.workers = 3;
+    Pool.workers = 3;
     heartbeat_interval = 0.02;
     (* phi 6 over 20 ms heartbeats still suspects a stalled worker in
        well under a second, but tolerates scheduler hiccups on loaded CI
@@ -338,7 +338,7 @@ let test_pool_map_matches_sequential () =
   Alcotest.(check bool) "empty map" true (Distributed.map ctx 0 f = [||])
 
 let test_pool_task_exception_is_typed () =
-  let ctx = Distributed.create ~opts:{ quick_opts with Distributed.workers = 2 } () in
+  let ctx = Distributed.create ~opts:{ quick_opts with Pool.workers = 2 } () in
   (match Distributed.map ctx 6 (fun i -> if i = 4 then failwith "boom" else i) with
   | _ -> Alcotest.fail "expected Task_failed"
   | exception Distributed.Task_failed { index; message } ->
@@ -350,7 +350,7 @@ let test_pool_degraded_fast_fail () =
   let opts =
     {
       quick_opts with
-      Distributed.workers = 2;
+      Pool.workers = 2;
       max_respawns_per_slot = 1;
       max_respawns_total = 6;
       batch_deadline = 20.0;
@@ -378,7 +378,7 @@ let test_pool_recovers_from_stall_and_disconnect () =
   let opts =
     {
       quick_opts with
-      Distributed.workers = 2;
+      Pool.workers = 2;
       max_respawns_per_slot = 2;
       max_respawns_total = 8;
     }
@@ -417,7 +417,7 @@ let test_pool_named_sockets () =
   in
   let ctx =
     Distributed.create
-      ~opts:{ quick_opts with Distributed.workers = 2; socket_dir = Some dir }
+      ~opts:{ quick_opts with Pool.workers = 2; socket_dir = Some dir }
       ()
   in
   let got = Distributed.map ctx 8 (fun i -> i + 100) in
@@ -477,7 +477,7 @@ let check_exports_equal label (a : Engine.report) (b : Engine.report) =
     (Obs.metrics_csv b.Engine.obs)
 
 let distributed_exec ?(workers = 2) () =
-  Executor.distributed ~opts:{ quick_opts with Distributed.workers } ()
+  Executor.distributed ~opts:{ quick_opts with Pool.workers } ()
 
 let test_differential_en () =
   let fx = en_fixture () in
@@ -540,7 +540,7 @@ let test_chaos_soak () =
             ~opts:
               {
                 quick_opts with
-                Distributed.workers = 3;
+                Pool.workers = 3;
                 max_respawns_per_slot = 1;
                 max_respawns_total = 10;
                 batch_deadline = 60.0;

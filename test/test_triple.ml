@@ -379,7 +379,7 @@ let check_reports_equal label (a : Engine.report) (b : Engine.report) =
 let quick_opts =
   {
     Distributed.default_opts with
-    Distributed.workers = 2;
+    Pool.workers = 2;
     heartbeat_interval = 0.02;
     phi = 4.0;
     batch_deadline = 30.0;
