@@ -108,6 +108,18 @@ dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
   > /dev/null
 cmp "$CI_TMP/trace.inline.json" "$CI_TMP/trace.reload.json"
 cmp "$CI_TMP/metrics.inline.json" "$CI_TMP/metrics.reload.json"
+# ...and at one lane, where consuming attached material takes the
+# kernel's one-slot consume path instead of 64-lane batches.
+dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
+  --slice-width 1 --obs-level full \
+  --trace "$CI_TMP/trace.inline1.json" --metrics "$CI_TMP/metrics.inline1.json" \
+  > /dev/null
+dune exec bin/dstress.exe -- stress --core 2 --periphery 3 -i 2 \
+  --slice-width 1 --obs-level full --preprocess \
+  --trace "$CI_TMP/trace.pre1.json" --metrics "$CI_TMP/metrics.pre1.json" \
+  > /dev/null
+cmp "$CI_TMP/trace.inline1.json" "$CI_TMP/trace.pre1.json"
+cmp "$CI_TMP/metrics.inline1.json" "$CI_TMP/metrics.pre1.json"
 
 # Distributed smoke: the two-process transport demo (real exec'd worker
 # over a named socket), then one engine run per wire-fault kind — each

@@ -351,6 +351,11 @@ let extend_words session meter ~width ~pairs ~choices =
 
 let ots_performed session = session.index
 
+let advance session count =
+  if session.mode <> Simulation then invalid_arg "Ot_ext.advance: Crypto session";
+  if count < 0 then invalid_arg "Ot_ext.advance: negative count";
+  session.index <- session.index + count
+
 let copy_colgen = function
   | Sha_col prg -> Sha_col (Prg.copy prg)
   | Fast_col prng -> Fast_col (Prng.copy prng)

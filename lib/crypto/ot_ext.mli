@@ -74,6 +74,13 @@ val extend_words :
 val ots_performed : session -> int
 (** Total OTs served so far (diagnostics). *)
 
+val advance : session -> int -> unit
+(** [advance s count] counts [count] OTs that the caller served itself
+    with the ideal functionality — what {!extend_words} computes in
+    [Simulation] mode — so the session's state matches a call to it.
+    Raises [Invalid_argument] on a [Crypto] session, whose OT index
+    tweaks the row hashes, or on a negative count. *)
+
 val copy_session : session -> session
 (** Independent deep snapshot: column PRGs and the OT counter are copied,
     so extending the copy does not disturb the original. The GMW offline

@@ -1,58 +1,73 @@
 module Nat = Dstress_bignum.Nat
 
-(* SHA-256 in counter mode: block_i = H(key || i64). A buffer holds the
-   unconsumed tail of the last block so bit/byte requests of any size are
-   served without waste. *)
+(* SHA-256 in counter mode: block_i = H(key ‖ le64 i). [block] holds the
+   current 32-byte output block and [pos] how much of it is consumed, so
+   bit/byte requests of any size are served without waste. A refill
+   hashes [key ‖ ctr] straight into [block] through the generator's own
+   SHA-256 scratch, so drawing allocates nothing. *)
 type t = {
   key : bytes;
-  mutable counter : int64;
-  mutable buffer : bytes;
+  mutable counter : int;
+  ctr : bytes; (* le64 encoding of the counter, rewritten per refill *)
+  block : bytes;
   mutable pos : int;
+  sha : Sha256.scratch;
 }
 
-let create seed = { key = Bytes.copy seed; counter = 0L; buffer = Bytes.create 0; pos = 0 }
+let block_size = 32
+
+let create seed =
+  {
+    key = Bytes.copy seed;
+    counter = 0;
+    ctr = Bytes.create 8;
+    block = Bytes.create block_size;
+    pos = block_size;
+    sha = Sha256.scratch ();
+  }
 
 let of_string s = create (Bytes.of_string s)
 
 let of_prng prng = create (Dstress_util.Prng.bytes prng 32)
 
-(* The key is never written after [create], and [refill] replaces the
-   buffer wholesale rather than mutating it, so both can be shared; the
-   scalar cursor fields make the copy independent. *)
-let copy t = { key = t.key; counter = t.counter; buffer = t.buffer; pos = t.pos }
-
-let next_block t =
-  let ctr = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set ctr i
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical t.counter (8 * i)) 0xffL)))
-  done;
-  t.counter <- Int64.add t.counter 1L;
-  Sha256.digest (Bytes.cat t.key ctr)
+(* The key is never written after [create], so it is shared; everything a
+   refill writes ([ctr], [block], the scratch) is the copy's own. *)
+let copy t =
+  {
+    t with
+    ctr = Bytes.create 8;
+    block = Bytes.copy t.block;
+    sha = Sha256.scratch ();
+  }
 
 let refill t =
-  t.buffer <- next_block t;
+  Bytes.set_int64_le t.ctr 0 (Int64.of_int t.counter);
+  t.counter <- t.counter + 1;
+  Sha256.digest2_into t.sha t.key t.ctr t.block 0;
   t.pos <- 0
 
 let next_byte t =
-  if t.pos >= Bytes.length t.buffer then refill t;
-  let b = Bytes.get t.buffer t.pos in
+  if t.pos = block_size then refill t;
+  let b = Bytes.get t.block t.pos in
   t.pos <- t.pos + 1;
   Char.code b
 
 (* Bulk draw: blit whole buffered blocks instead of going byte by byte.
    The output stream is identical to repeated [next_byte]. *)
-let bytes t n =
-  let out = Bytes.create n in
+let bytes_into t dst off n =
+  if n < 0 || off < 0 || off > Bytes.length dst - n then invalid_arg "Prg.bytes_into";
   let filled = ref 0 in
   while !filled < n do
-    if t.pos >= Bytes.length t.buffer then refill t;
-    let take = min (n - !filled) (Bytes.length t.buffer - t.pos) in
-    Bytes.blit t.buffer t.pos out !filled take;
+    if t.pos = block_size then refill t;
+    let take = min (n - !filled) (block_size - t.pos) in
+    Bytes.blit t.block t.pos dst (off + !filled) take;
     t.pos <- t.pos + take;
     filled := !filled + take
-  done;
+  done
+
+let bytes t n =
+  let out = Bytes.create n in
+  bytes_into t out 0 n;
   out
 
 let bits t n =

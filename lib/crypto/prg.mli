@@ -20,11 +20,14 @@ val copy : t -> t
     pipeline uses this to checkpoint per-party streams after each
     pre-generated evaluation and to restore them on consumption. *)
 
-val next_block : t -> bytes
-(** Next 32 pseudo-random bytes. Advances the counter. *)
-
 val bytes : t -> int -> bytes
 (** [bytes t n] produces [n] pseudo-random bytes. *)
+
+val bytes_into : t -> bytes -> int -> int -> unit
+(** [bytes_into t dst off n] writes the next [n] bytes of the stream to
+    [dst] at [off] without allocating; [bytes t n] is a fresh buffer
+    filled by it. Raises [Invalid_argument] if the range is not inside
+    [dst]. *)
 
 val bits : t -> int -> Dstress_util.Bitvec.t
 (** [bits t n] produces [n] pseudo-random bits. *)

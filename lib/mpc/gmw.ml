@@ -64,10 +64,6 @@ let ot_session s ~sender ~receiver =
 
 let share_input s v = Sharing.share s.prgs.(0) ~parties:s.n v
 
-(* Draw [m] mask bits from [prg] as one bulk byte draw: bit [g] is the low
-   bit of byte [g]. *)
-let draw_mask_bytes prg m = Prg.bytes prg m
-
 (* ------------------------------------------------------------------ *)
 (* Offline phase: generate / attach / consume correlated randomness     *)
 (* ------------------------------------------------------------------ *)
@@ -94,7 +90,7 @@ let generate_material ?mode grp ~parties ~seed ~slice_width ~evals plan =
                   if sender <> receiver then begin
                     ignore (ot_session s ~sender ~receiver);
                     level_masks.((sender * parties) + receiver) <-
-                      draw_mask_bytes s.prgs.(sender) m
+                      Prg.bytes s.prgs.(sender) m
                   end
                 done
               done;
@@ -167,6 +163,11 @@ let restore_post s (e : Triple.eval) =
 (* Bitsliced evaluation                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Wire word [w] of one party's wire store: one little-endian int64 per
+   wire, unboxed in a [Bytes]. *)
+let[@inline] word v w = Bytes.get_int64_le v (w lsl 3)
+let[@inline] set_word v w x = Bytes.set_int64_le v (w lsl 3) x
+
 (* Evaluate up to 64 sessions in lockstep over one compiled plan: the
    only GMW kernel ([eval] is its one-slot case). Wire values are int64
    words: bit [sl] of every word belongs to instance [sl], so local gates
@@ -185,25 +186,38 @@ let restore_post s (e : Triple.eval) =
      batched transfer — the "accounting split" that makes an instance's
      traffic matrix independent of which slice it rode in;
    - rounds/AND/OT counters advance per instance.
-   The word-level batch itself runs on slot 0's pair session; its honest
-   batch meter is discarded in favour of the per-instance split. *)
+   The word-level batch itself runs on slot 0's pair session (the
+   carrier); its honest batch meter is discarded in favour of the
+   per-instance split.
+
+   The per-gate path allocates nothing: wire words live in one [Bytes]
+   per party, and mask bytes are drawn into scratch sized to the widest
+   AND level, reused by every level and pair of the evaluation. *)
 let eval_sliced plan sessions input_shares =
   let slots = Array.length sessions in
   let s0 = sessions.(0) in
   let n = s0.n in
   (* Per-slot offline material: a consuming slot takes its mask bytes from
      the pre-drawn entry instead of its PRG (and needs no lazy OT setup —
-     attach installed the sessions); the word-level carrier batch already
-     computes every lane as the ideal chosen message, so mixed consume /
-     inline slots coexist in one batch. *)
+     attach installed the sessions). *)
   let pres = Array.map (fun s -> take_pre s plan) sessions in
-  (* When every slot consumes, the word-level OT batch can be skipped
-     outright: the carrier's extension computes exactly the ideal chosen
-     message mask XOR (x_s AND y_r) per lane, which is local arithmetic
-     here, and a colgen stream nobody draws from is unobservable. *)
+  (* The receiver's output of every carrier OT is the ideal chosen
+     message mask XOR (x_s AND y_r) per lane — IKNP always delivers
+     exactly that — so wherever the extension itself is unobservable it
+     is local arithmetic here: in Simulation mode (whose extend_words
+     computes just this, so only the carrier's OT index is advanced to
+     match), and when every slot consumes material (a colgen stream
+     nobody draws from is unobservable, so not even the index moves).
+     Only Crypto-mode inline batches run the real extension. *)
   let all_consume = Array.for_all Option.is_some pres in
+  let ideal = all_consume || s0.mode = Ot_ext.Simulation in
   let slot_mask = if slots = 64 then -1L else Int64.sub (Int64.shift_left 1L slots) 1L in
-  let vals = Array.init n (fun _ -> Array.make (Plan.num_wires plan) 0L) in
+  let vals = Array.init n (fun _ -> Bytes.make (8 * Plan.num_wires plan) '\x00') in
+  let widest =
+    Array.fold_left (fun acc (lv : Plan.level) -> max acc (Array.length lv.Plan.and_dst)) 0
+      (Plan.levels plan)
+  in
+  let draw = Bytes.create widest and masks = Bytes.create (8 * widest) in
   let apply op =
     match op with
     | Plan.Load_input { dst; input } ->
@@ -214,17 +228,18 @@ let eval_sliced plan sessions input_shares =
               Int64.logor (Int64.shift_left !w 1)
                 (if Bitvec.unsafe_get input_shares.(sl).(p) input then 1L else 0L)
           done;
-          vals.(p).(dst) <- !w
+          set_word vals.(p) dst !w
         done
-    | Plan.Load_const { dst; value } -> vals.(0).(dst) <- (if value then slot_mask else 0L)
+    | Plan.Load_const { dst; value } -> set_word vals.(0) dst (if value then slot_mask else 0L)
     | Plan.Local_not { dst; src } ->
-        vals.(0).(dst) <- Int64.logxor vals.(0).(src) slot_mask;
+        set_word vals.(0) dst (Int64.logxor (word vals.(0) src) slot_mask);
         for p = 1 to n - 1 do
-          vals.(p).(dst) <- vals.(p).(src)
+          set_word vals.(p) dst (word vals.(p) src)
         done
     | Plan.Local_xor { dst; a; b } ->
         for p = 0 to n - 1 do
-          vals.(p).(dst) <- Int64.logxor vals.(p).(a) vals.(p).(b)
+          let vp = vals.(p) in
+          set_word vp dst (Int64.logxor (word vp a) (word vp b))
         done
   in
   Array.iter apply (Plan.prologue plan);
@@ -236,14 +251,13 @@ let eval_sliced plan sessions input_shares =
       for p = 0 to n - 1 do
         let vp = vals.(p) in
         for g = 0 to m - 1 do
-          vp.(dst.(g)) <- Int64.logand vp.(wa.(g)) vp.(wb.(g))
+          set_word vp dst.(g) (Int64.logand (word vp wa.(g)) (word vp wb.(g)))
         done
       done;
-      let masks = Array.make m 0L in
       for sender = 0 to n - 1 do
         for receiver = 0 to n - 1 do
           if sender <> receiver then begin
-            Array.fill masks 0 m 0L;
+            Bytes.fill masks 0 (8 * m) '\x00';
             for sl = 0 to slots - 1 do
               let s = sessions.(sl) in
               let raw =
@@ -251,35 +265,48 @@ let eval_sliced plan sessions input_shares =
                 | Some e -> e.Triple.masks.(li).((sender * n) + receiver)
                 | None ->
                     ignore (ot_session s ~sender ~receiver);
-                    draw_mask_bytes s.prgs.(sender) m
+                    Prg.bytes_into s.prgs.(sender) draw 0 m;
+                    draw
               in
               let bit = Int64.shift_left 1L sl in
               for g = 0 to m - 1 do
                 if Char.code (Bytes.get raw g) land 1 = 1 then
-                  masks.(g) <- Int64.logor masks.(g) bit
+                  set_word masks g (Int64.logor (word masks g) bit)
               done
             done;
             let vs = vals.(sender) and vr = vals.(receiver) in
-            let outs =
-              if all_consume then
+            (* Wires of one level's AND batch are never its operands, so
+               each gate's update can land before the next is read. *)
+            if ideal then begin
+              if not all_consume then
+                Ot_ext.advance (ot_session s0 ~sender ~receiver) (m * slots);
+              for g = 0 to m - 1 do
+                let w = dst.(g) and mk = word masks g in
+                set_word vs w (Int64.logxor (word vs w) mk);
+                set_word vr w
+                  (Int64.logxor (word vr w)
+                     (Int64.logxor mk (Int64.logand (word vs wa.(g)) (word vr wb.(g)))))
+              done
+            end
+            else begin
+              let pairs =
                 Array.init m (fun g ->
-                    Int64.logxor masks.(g) (Int64.logand vs.(wa.(g)) vr.(wb.(g))))
-              else begin
-                let pairs =
-                  Array.init m (fun g -> (masks.(g), Int64.logxor masks.(g) vs.(wa.(g))))
-                in
-                let choices = Array.init m (fun g -> vr.(wb.(g))) in
-                let carrier = ot_session s0 ~sender ~receiver in
-                (* The bulk transfer is re-attributed per slot below, so
-                   the carrier's own account is a discarded scratch. *)
+                    let mk = word masks g in
+                    (mk, Int64.logxor mk (word vs wa.(g))))
+              in
+              let choices = Array.init m (fun g -> word vr wb.(g)) in
+              let carrier = ot_session s0 ~sender ~receiver in
+              (* The bulk transfer is re-attributed per slot below, so
+                 the carrier's own account is a discarded scratch. *)
+              let outs =
                 Ot_ext.extend_words carrier (Xfer.create ()) ~width:slots ~pairs ~choices
-              end
-            in
-            for g = 0 to m - 1 do
-              let w = dst.(g) in
-              vs.(w) <- Int64.logxor vs.(w) masks.(g);
-              vr.(w) <- Int64.logxor vr.(w) outs.(g)
-            done;
+              in
+              for g = 0 to m - 1 do
+                let w = dst.(g) in
+                set_word vs w (Int64.logxor (word vs w) (word masks g));
+                set_word vr w (Int64.logxor (word vr w) outs.(g))
+              done
+            end;
             let col = Ot_ext.kappa * ((m + 7) / 8) and row = 2 * ((m + 7) / 8) in
             for sl = 0 to slots - 1 do
               let s = sessions.(sl) in
@@ -304,7 +331,7 @@ let eval_sliced plan sessions input_shares =
   Array.init slots (fun sl ->
       Array.init n (fun p ->
           Bitvec.init (Array.length outputs) (fun o ->
-              Int64.logand (Int64.shift_right_logical vals.(p).(outputs.(o)) sl) 1L = 1L)))
+              Int64.logand (Int64.shift_right_logical (word vals.(p) outputs.(o)) sl) 1L = 1L)))
 
 let eval_many sessions circuit ~input_shares =
   let count = Array.length sessions in

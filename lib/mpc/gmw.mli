@@ -60,8 +60,10 @@ val eval_many :
     independent sessions (protocol instances). It packs up to 64
     instances into each [int64] wire word, so local gates cost one word
     op and each AND level runs one word-level OT batch per ordered pair
-    ({!Dstress_crypto.Ot_ext.extend_words}); instances beyond 64 are
-    processed in successive chunks. Everything observable stays per
+    ({!Dstress_crypto.Ot_ext.extend_words} in [Crypto] mode; in
+    [Simulation] mode its ideal functionality, computed in place); no
+    per-gate allocation. Instances beyond 64 are processed in successive
+    chunks. Everything observable stays per
     session and independent of how sessions are grouped:
     [eval_many sessions c ~input_shares] gives each session the same
     output shares, traffic matrix, rounds/AND/OT counters and PRG states

@@ -34,9 +34,12 @@ let key ~digest ~parties ~seed ~slice_width ~mode =
 (* File layout: magic line, 4-byte big-endian payload length, Marshal
    payload, 4-byte big-endian CRC-32 of the payload. Anything that fails
    to parse or verify is treated as a miss and regenerated — a corrupt or
-   stale file can cost time, never correctness. *)
+   stale file can cost time, never correctness. The version in the magic
+   changes whenever the marshalled layout of [material] does (/2: Prg.t
+   carries its SHA-256 scratch), so an old file is a miss rather than a
+   Marshal of the wrong shape. *)
 
-let magic = "DSTRESS-TRIPLE/1\n"
+let magic = "DSTRESS-TRIPLE/2\n"
 
 let file_of_key dir k =
   Filename.concat dir (Hex.encode (Sha256.digest (Bytes.of_string k)) ^ ".triple")

@@ -81,6 +81,127 @@ let test_prg_bool_balanced () =
   done;
   Alcotest.(check bool) "balanced" true (!ones > 1700 && !ones < 2300)
 
+let test_prg_bytes_into () =
+  (* Interleaved draws at odd offsets and lengths, straddling 32-byte
+     block boundaries, give the same stream as plain [bytes]. *)
+  let a = prg "into" and b = prg "into" in
+  let dst = Bytes.make 300 '\xee' in
+  List.iter
+    (fun (off, n) ->
+      let expected = Prg.bytes a n in
+      Prg.bytes_into b dst off n;
+      Alcotest.(check bytes) (Printf.sprintf "off %d len %d" off n) expected (Bytes.sub dst off n))
+    [ (1, 0); (3, 1); (7, 31); (0, 32); (5, 33); (11, 63); (13, 65); (17, 97); (2, 200) ];
+  Alcotest.check_raises "range outside dst" (Invalid_argument "Prg.bytes_into") (fun () ->
+      Prg.bytes_into b dst 290 11)
+
+let test_prg_copy_independent () =
+  (* Refills write the block in place, so a copy must own its buffer:
+     advancing the original across several block boundaries (and
+     mid-block) must not change the copy's stream. *)
+  let reference = Prg.bytes (prg "copy") 500 in
+  let orig = prg "copy" in
+  ignore (Prg.bytes orig 45);
+  let snap = Prg.copy orig in
+  ignore (Prg.bytes orig 211);
+  ignore (Prg.bool orig);
+  Alcotest.(check bytes) "copy continues the snapshot" (Bytes.sub reference 45 400)
+    (Prg.bytes snap 400);
+  Alcotest.(check bytes) "original continues its own stream" (Bytes.sub reference 257 100)
+    (Prg.bytes orig 100)
+
+let test_sha256_allocation () =
+  (* Native-int compression: a one-block digest allocates its scratch
+     and the result, nothing per round (the Int32 version took ~1650
+     words). Gc.minor_words deltas are exact. *)
+  let msg = Bytes.make 40 'x' in
+  ignore (Sha256.digest msg);
+  let w0 = Gc.minor_words () in
+  ignore (Sha256.digest msg);
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "%.0f <= 100 words" words) true (words <= 100.)
+
+(* Hash and draw from 4 domains, each also running 2 systhreads, and
+   compare with a sequential run: no hashing state may be shared between
+   callers (systhreads of one domain can switch at a loop safepoint in
+   the middle of a compression). *)
+let concurrent_work id =
+  let buf = Buffer.create 4096 in
+  let t = Prg.of_string (Printf.sprintf "concurrent:%d" id) in
+  for i = 0 to 199 do
+    Buffer.add_bytes buf (Prg.bytes t (1 + (i mod 70)));
+    Buffer.add_string buf (Sha256.hex_digest (Printf.sprintf "%d:%d:%s" id i (String.make i 'q')))
+  done;
+  Sha256.hex_digest (Buffer.contents buf)
+
+let test_concurrent_hashing () =
+  let ids = List.init 8 Fun.id in
+  let sequential = List.map concurrent_work ids in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let results = Array.make 2 "" in
+            let threads =
+              List.init 2 (fun j ->
+                  Thread.create (fun () -> results.(j) <- concurrent_work ((2 * d) + j)) ())
+            in
+            List.iter Thread.join threads;
+            Array.to_list results))
+  in
+  let concurrent = List.concat_map Domain.join domains in
+  Alcotest.(check (list string)) "same as sequential" sequential concurrent
+
+(* Golden SHA-256 digests and PRG streams, recorded before the hash was
+   rewritten on native ints, so every padding edge and every block of
+   counter-mode output is pinned to the exact bytes, not just to being
+   distinct. Digests cover a deterministic byte pattern at every length
+   0..200 (crossing the 55/56/64/119/120/128 edges); streams are the
+   first 4 KiB for three seeds, one longer than a SHA-256 block. To
+   regenerate after an intentional change, run (from the repo root):
+
+     DSTRESS_REGEN_GOLDEN=$PWD/test/golden/sha256_prg.txt \
+       dune exec test/test_crypto.exe -- test golden
+
+   and commit the updated file. *)
+let sha_golden_path = "golden/sha256_prg.txt"
+
+let pattern n = Bytes.init n (fun i -> Char.chr (((i * 131) + (i lsr 3) + 7) land 0xff))
+
+let golden_seeds =
+  [ ("empty", Bytes.empty); ("label", Bytes.of_string "gmw:golden:party:0"); ("long", pattern 100) ]
+
+let sha_prg_transcript () =
+  let buf = Buffer.create 32768 in
+  for n = 0 to 200 do
+    Printf.bprintf buf "sha256 %d %s\n" n
+      (Dstress_util.Hex.encode (Sha256.digest (pattern n)))
+  done;
+  List.iter
+    (fun (tag, seed) ->
+      let stream = Prg.bytes (Prg.create seed) 4096 in
+      for line = 0 to (4096 / 64) - 1 do
+        Printf.bprintf buf "prg %s %d %s\n" tag line
+          (Dstress_util.Hex.encode (Bytes.sub stream (64 * line) 64))
+      done)
+    golden_seeds;
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_sha_prg_golden () =
+  let current = sha_prg_transcript () in
+  match Sys.getenv_opt "DSTRESS_REGEN_GOLDEN" with
+  | Some path ->
+      let oc = open_out_bin path in
+      output_string oc current;
+      close_out oc;
+      Printf.printf "regenerated %s\n" path
+  | None -> Alcotest.(check string) "sha256/prg golden" (read_file sha_golden_path) current
+
 (* ------------------------------------------------------------------ *)
 (* Group                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -830,6 +951,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
           Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
+          Alcotest.test_case "digest allocation" `Quick test_sha256_allocation;
         ] );
       ( "prg",
         [
@@ -838,7 +960,11 @@ let () =
           Alcotest.test_case "nat_below" `Quick test_prg_nat_below;
           Alcotest.test_case "bits length" `Quick test_prg_bits_length;
           Alcotest.test_case "bool balanced" `Quick test_prg_bool_balanced;
+          Alcotest.test_case "bytes_into = bytes" `Quick test_prg_bytes_into;
+          Alcotest.test_case "copy independent" `Quick test_prg_copy_independent;
+          Alcotest.test_case "concurrent hashing" `Quick test_concurrent_hashing;
         ] );
+      ("golden", [ Alcotest.test_case "sha256 and prg streams" `Quick test_sha_prg_golden ]);
       ( "group",
         [
           Alcotest.test_case "generator order" `Quick test_group_generator_order;

@@ -404,6 +404,45 @@ let test_engine_rejects_bad_slice_width () =
   bad 0;
   bad 65
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gate                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The mask path allocates nothing per gate: wire words live unboxed in
+   Bytes, masks are drawn into per-evaluation scratch and SHA-256 runs on
+   native ints. [Gc.minor_words] deltas are exact, so the gate does not
+   depend on timing. A warm-up call first sets up the lazy OT sessions
+   and the plan memo; the bound leaves room for the per-evaluation
+   arrays (input packing, outputs), not for anything per gate — the
+   boxed-Int32 hash and boxed wire arrays cost ~430 words per AND. *)
+let words_per_and ~sessions circuit ~input_shares =
+  let run () = ignore (Gmw.eval_many sessions circuit ~input_shares) in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Array.length sessions * Circuit.and_count circuit)
+
+let test_alloc_one_lane () =
+  let c = golden_circuit () in
+  let sessions = make_sessions ~parties:3 ~count:1 "alloc-1" in
+  let per_and =
+    words_per_and ~sessions c ~input_shares:(make_inputs ~parties:3 ~count:1 "alloc-1" c)
+  in
+  Printf.printf "one lane: %.2f words per AND over %d ANDs\n" per_and (Circuit.and_count c);
+  Alcotest.(check bool) (Printf.sprintf "%.2f <= 8 words per AND" per_and) true (per_and <= 8.)
+
+let test_alloc_64_lanes () =
+  let c = golden_circuit () in
+  let sessions = make_sessions ~parties:3 ~count:64 "alloc-64" in
+  let per_and =
+    words_per_and ~sessions c ~input_shares:(make_inputs ~parties:3 ~count:64 "alloc-64" c)
+  in
+  Printf.printf "64 lanes: %.2f words per AND per instance\n" per_and;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f <= 8 words per AND per instance" per_and)
+    true (per_and <= 8.)
+
 let () =
   Alcotest.run "slice"
     [
@@ -418,6 +457,11 @@ let () =
           Alcotest.test_case "rejects mismatches" `Quick test_eval_many_rejects_mismatches;
         ] );
       ("golden", [ Alcotest.test_case "scalar aggregation golden" `Quick test_scalar_golden ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "one lane words per AND" `Quick test_alloc_one_lane;
+          Alcotest.test_case "64 lanes words per AND" `Quick test_alloc_64_lanes;
+        ] );
       ( "plan",
         [
           Alcotest.test_case "level partition" `Quick test_plan_partition;
