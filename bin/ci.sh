@@ -177,6 +177,29 @@ grep -q '^dstress_service_request_s_count 3$' "$CI_TMP/stats.prom"
 grep '^dstress_service_request_s{quantile="0.99"} ' "$CI_TMP/stats.prom" | grep -qv ' 0$'
 grep -q '^dstress_worker_up{worker="0"' "$CI_TMP/stats.prom"
 grep -q 'trace=3 msg="request finished"' "$CI_TMP/serve.err"
+# Warm workers: two sequential requests of the same config, with an EGJ
+# request between them. By now every worker that served the concurrent
+# requests holds that shape's program, circuits and plans in its memos,
+# so these requests run warm; each export must still byte-match a solo
+# `stress` run of its config.
+echo "== service smoke (warm workers) =="
+dune exec bin/dstress.exe -- stress --model egj --core 2 --periphery 3 -i 2 \
+  --slice-width 64 --obs-level full \
+  --trace "$CI_TMP/solo.egj.trace.json" --metrics "$CI_TMP/solo.egj.metrics.json" \
+  > /dev/null
+for run in en.1 egj en.2; do
+  model="${run%%.*}"
+  _build/default/bin/dstress.exe request --socket "$SVC_SOCK" --model "$model" \
+    --core 2 --periphery 3 -i 2 --slice-width 64 \
+    --trace "$CI_TMP/warm.$run.trace.json" --metrics "$CI_TMP/warm.$run.metrics.json" \
+    > /dev/null
+done
+for run in en.1 en.2; do
+  cmp "$CI_TMP/solo.trace.json" "$CI_TMP/warm.$run.trace.json"
+  cmp "$CI_TMP/solo.metrics.json" "$CI_TMP/warm.$run.metrics.json"
+done
+cmp "$CI_TMP/solo.egj.trace.json" "$CI_TMP/warm.egj.trace.json"
+cmp "$CI_TMP/solo.egj.metrics.json" "$CI_TMP/warm.egj.metrics.json"
 kill -TERM "$SVC_PID"
 wait "$SVC_PID"
 

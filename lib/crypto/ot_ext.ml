@@ -91,19 +91,77 @@ let setup ?(mode = Crypto) grp meter ~sender_prg ~receiver_prg =
 (* Row hashing                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let pack_row row =
-  let packed = Bytes.make (kappa / 8) '\x00' in
+(* Crypto mode hashes row [row] of OT [j] to the SHA-256 counter-mode
+   stream keyed by k = H("iknp:<j>:" ‖ packed row), the same bytes as
+   [Prg.bytes (Prg.create k) len]. A hasher owns every buffer this needs,
+   so one per batch hashes all its rows without allocating. *)
+type row_hasher = {
+  sha : Sha256.scratch;
+  mutable tag : bytes; (* "iknp:<j>:", reallocated only when j gains a digit *)
+  packed : bytes; (* the row, LSB-first within each byte *)
+  key : bytes;
+  ctr : bytes; (* le64 block counter *)
+  block : bytes;
+}
+
+let row_hasher () =
+  {
+    sha = Sha256.scratch ();
+    tag = Bytes.empty;
+    packed = Bytes.create (kappa / 8);
+    key = Bytes.create 32;
+    ctr = Bytes.create 8;
+    block = Bytes.create 32;
+  }
+
+let tag_prefix = "iknp:"
+let rec decimal_digits j = if j < 10 then 1 else 1 + decimal_digits (j / 10)
+
+let write_tag h j =
+  if j < 0 then invalid_arg "Ot_ext: negative OT index";
+  let prefix = String.length tag_prefix in
+  let len = prefix + decimal_digits j + 1 in
+  if Bytes.length h.tag <> len then begin
+    h.tag <- Bytes.create len;
+    Bytes.blit_string tag_prefix 0 h.tag 0 prefix
+  end;
+  Bytes.set h.tag (len - 1) ':';
+  let v = ref j in
+  for i = len - 2 downto prefix do
+    Bytes.set h.tag i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+    v := !v / 10
+  done
+
+(* Set [h.key] to the stream key of row [row] of OT [j]. *)
+let row_key h j row =
+  write_tag h j;
+  Bytes.fill h.packed 0 (kappa / 8) '\x00';
   Array.iteri
     (fun i b ->
       if b then
-        Bytes.set packed (i / 8)
-          (Char.chr (Char.code (Bytes.get packed (i / 8)) lor (1 lsl (i mod 8)))))
+        Bytes.set h.packed (i lsr 3)
+          (Char.unsafe_chr (Char.code (Bytes.get h.packed (i lsr 3)) lor (1 lsl (i land 7)))))
     row;
-  packed
+  Sha256.digest2_into h.sha h.tag h.packed h.key 0
 
-let sha_row_hash j row len =
-  let tag = Bytes.of_string (Printf.sprintf "iknp:%d:" j) in
-  Prg.bytes (Prg.create (Sha256.digest (Bytes.cat tag (pack_row row)))) len
+let stream_block h i =
+  Bytes.set_int64_le h.ctr 0 (Int64.of_int i);
+  Sha256.digest2_into h.sha h.key h.ctr h.block 0
+
+let sha_row_hash h j row len =
+  row_key h j row;
+  let out = Bytes.create len in
+  for i = 0 to ((len + 31) / 32) - 1 do
+    stream_block h i;
+    Bytes.blit h.block 0 out (32 * i) (min 32 (len - (32 * i)))
+  done;
+  out
+
+(* Bit 0 of the stream: what a one-bit message is masked with. *)
+let sha_row_bit h j row =
+  row_key h j row;
+  stream_block h 0;
+  Char.code (Bytes.get h.block 0) land 1 = 1
 
 (* SplitMix-style mixing of (j, row) for simulation mode. *)
 let mix z =
@@ -140,8 +198,8 @@ let transpose64 a =
     m := Int64.logxor !m (Int64.shift_left !m !j)
   done
 
-let row_hash mode j row len =
-  match mode with Crypto -> sha_row_hash j row len | Simulation -> fast_row_hash j row len
+let row_hash mode =
+  match mode with Crypto -> sha_row_hash (row_hasher ()) | Simulation -> fast_row_hash
 
 (* ------------------------------------------------------------------ *)
 (* Extension                                                           *)
@@ -284,7 +342,7 @@ let extend_bits session meter ~pairs ~choices =
         session.index <- session.index + m;
         (* Two packed bit vectors from sender to receiver. *)
         Xfer.add_a_to_b meter (2 * ((m + 7) / 8));
-        let hash_bit j row = Char.code (Bytes.get (sha_row_hash j row 1) 0) land 1 = 1 in
+        let hash_bit = sha_row_bit (row_hasher ()) in
         Array.init m (fun j ->
             let q = row_of q_cols j in
             let q_xor_s = Array.mapi (fun i b -> b <> session.s.(i)) q in

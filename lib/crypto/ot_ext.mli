@@ -71,6 +71,18 @@ val extend_words :
     construction lane by lane. Raises [Invalid_argument] on length
     mismatch or [width] outside [1, 64]. *)
 
+type row_hasher
+(** Buffers and SHA-256 scratch for [Crypto]-mode row hashing; one per
+    batch serves all of its rows. *)
+
+val row_hasher : unit -> row_hasher
+
+val sha_row_hash : row_hasher -> int -> bool array -> int -> bytes
+(** [sha_row_hash h j row len] is the [Crypto]-mode IKNP row hash of row
+    [row] ([kappa] bits) of OT [j >= 0]: the first [len] bytes of
+    [Prg.create (Sha256.digest ("iknp:<j>:" ‖ packed row))], where the
+    row packs LSB-first into [kappa / 8] bytes. Exposed for tests. *)
+
 val ots_performed : session -> int
 (** Total OTs served so far (diagnostics). *)
 

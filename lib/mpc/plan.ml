@@ -105,23 +105,8 @@ let compile (circuit : Circuit.t) =
 
 (* Plans are memoized on the physical identity of the circuit: DStress
    evaluates the same update circuit once per vertex per round, and
-   circuits are immutable once built. The cache is a short LRU-ish list
-   (entries are pushed to the front on a miss and the tail dropped), held
-   under a mutex so parallel executor domains can share it. *)
+   circuits are immutable once built. The memo is an LRU shared by every
+   executor domain. *)
 let cache_limit = 32
-let cache : (Circuit.t * t) list ref = ref []
-let cache_mutex = Mutex.create ()
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let of_circuit circuit =
-  Mutex.protect cache_mutex (fun () ->
-      match List.find_opt (fun (c, _) -> c == circuit) !cache with
-      | Some (_, plan) -> plan
-      | None ->
-          let plan = compile circuit in
-          cache := take cache_limit ((circuit, plan) :: !cache);
-          plan)
+let cache = Dstress_util.Memo.create ~limit:cache_limit ~equal:( == )
+let of_circuit circuit = Dstress_util.Memo.find_or_add cache circuit (fun () -> compile circuit)

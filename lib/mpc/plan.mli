@@ -12,9 +12,9 @@
     [r+1] of [and_levels], in wire order; the batch order fixes the PRG
     draws, OT counts and metered traffic of every evaluation.
 
-    Plans are memoized per circuit (physical identity, bounded cache,
-    thread-safe), so concurrent evaluations of the same circuit from a
-    domain pool compile it once. *)
+    Plans are memoized per circuit (physical identity; a thread-safe LRU
+    of 32 plans), so repeated evaluations of one circuit compile it once
+    and concurrent evaluations share one plan. *)
 
 type op =
   | Load_input of { dst : int; input : int }

@@ -19,11 +19,7 @@ let off_penalty = 3
 let off_value = 4
 let off_holding ~s = 5 + s
 
-let make ?(epsilon = 0.23) ?(sensitivity = 20) ?(noise_max = 600) ~l ~frac ~degree
-    ~iterations () =
-  if l < 4 || l > 20 then invalid_arg "Egj_program.make: l out of [4,20]";
-  if frac <= 0 || frac >= l then invalid_arg "Egj_program.make: frac out of (0,l)";
-  if degree < 1 then invalid_arg "Egj_program.make: degree < 1";
+let build ~epsilon ~sensitivity ~noise_max ~l ~frac ~degree ~iterations =
   let sb = state_bits ~l ~degree in
   let wide = l + bits_for (degree + 1) in
   let build_update b ~state ~incoming =
@@ -88,6 +84,18 @@ let make ?(epsilon = 0.23) ?(sensitivity = 20) ?(noise_max = 600) ~l ~frac ~degr
     build_update;
     build_aggregand;
   }
+
+(* One shared program per argument tuple, as in {!En_program.make}. *)
+let programs = Dstress_util.Memo.create ~limit:32 ~equal:( = )
+
+let make ?(epsilon = 0.23) ?(sensitivity = 20) ?(noise_max = 600) ~l ~frac ~degree
+    ~iterations () =
+  if l < 4 || l > 20 then invalid_arg "Egj_program.make: l out of [4,20]";
+  if frac <= 0 || frac >= l then invalid_arg "Egj_program.make: frac out of (0,l)";
+  if degree < 1 then invalid_arg "Egj_program.make: degree < 1";
+  Dstress_util.Memo.find_or_add programs
+    (epsilon, sensitivity, noise_max, l, frac, degree, iterations)
+    (fun () -> build ~epsilon ~sensitivity ~noise_max ~l ~frac ~degree ~iterations)
 
 let graph_of_instance inst =
   Reference.egj_validate inst;

@@ -30,7 +30,8 @@ val make :
   unit ->
   Dstress_runtime.Vertex_program.t
 (** [frac] must satisfy [0 < frac < l]. Defaults as in {!En_program.make}
-    with [sensitivity = 20] (the 2/r bound of §4.4 with r = 0.1). *)
+    with [sensitivity = 20] (the 2/r bound of §4.4 with r = 0.1). Equal
+    arguments return the same physical program, as there. *)
 
 val state_bits : l:int -> degree:int -> int
 val agg_bits : l:int -> int

@@ -19,9 +19,7 @@ let off_deficit = 2
 let off_debt ~s = 3 + s
 let off_credit ~degree ~s = 3 + degree + s
 
-let make ?(epsilon = 0.23) ?(sensitivity = 20) ?(noise_max = 600) ~l ~degree ~iterations () =
-  if l < 4 || l > 20 then invalid_arg "En_program.make: l out of [4,20]";
-  if degree < 1 then invalid_arg "En_program.make: degree < 1";
+let build ~epsilon ~sensitivity ~noise_max ~l ~degree ~iterations =
   let sb = state_bits ~l ~degree in
   let f = l in
   (* width enough for cash + D credits *)
@@ -77,6 +75,17 @@ let make ?(epsilon = 0.23) ?(sensitivity = 20) ?(noise_max = 600) ~l ~degree ~it
     build_update;
     build_aggregand;
   }
+
+(* One shared program per argument tuple, so the circuit memo of
+   {!Vertex_program}, which compares programs by identity, serves every
+   run of a shape. *)
+let programs = Dstress_util.Memo.create ~limit:32 ~equal:( = )
+
+let make ?(epsilon = 0.23) ?(sensitivity = 20) ?(noise_max = 600) ~l ~degree ~iterations () =
+  if l < 4 || l > 20 then invalid_arg "En_program.make: l out of [4,20]";
+  if degree < 1 then invalid_arg "En_program.make: degree < 1";
+  Dstress_util.Memo.find_or_add programs (epsilon, sensitivity, noise_max, l, degree, iterations)
+    (fun () -> build ~epsilon ~sensitivity ~noise_max ~l ~degree ~iterations)
 
 let graph_of_instance inst =
   Reference.en_validate inst;

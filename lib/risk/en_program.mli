@@ -30,7 +30,12 @@ val make :
 (** Defaults: [epsilon = 0.23], [sensitivity = 20] (Basel III leverage
     bound r = 0.1 gives s = 1/r = 10; we keep the conservative 2/r = 20 so
     both models share a noise scale), [noise_max = 600]. [l] must be in
-    [\[4, 20\]] and [degree >= 1]. *)
+    [\[4, 20\]] and [degree >= 1].
+
+    Equal arguments return the same physical program (a memo of the 32
+    most recently used argument tuples), so the circuits that
+    {!Dstress_runtime.Vertex_program} memoizes per program are shared by
+    every run of a shape. *)
 
 val state_bits : l:int -> degree:int -> int
 val agg_bits : l:int -> int

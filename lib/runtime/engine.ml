@@ -220,7 +220,32 @@ let run cfg p ~graph ~initial_states =
       escalation_table = Some (lazy (escalation_table ())) }
   in
   let params = { Protocol.alpha = cfg.transfer_alpha; table } in
+  (* Every circuit the run evaluates is built (or found in the
+     Vertex_program memo) and its plan compiled here, on the coordinator
+     before the first task batch: forked workers inherit both copy-on-write
+     and no task builds or compiles a circuit. *)
   let update_c = Vertex_program.update_circuit p ~degree:d in
+  let leaf_groups =
+    match cfg.aggregation with
+    | Single_block -> [||]
+    | Two_level fanout ->
+        Array.init ((n + fanout - 1) / fanout) (fun gi ->
+            List.init (min fanout (n - (gi * fanout))) (fun o -> (gi * fanout) + o))
+  in
+  let leaf_circuits =
+    Array.map
+      (fun group -> Vertex_program.partial_aggregate_circuit p ~count:(List.length group))
+      leaf_groups
+  in
+  let root_circuit =
+    match cfg.aggregation with
+    | Single_block -> Vertex_program.aggregate_circuit p ~count:n
+    | Two_level _ ->
+        Vertex_program.combine_circuit p ~count:(Array.length leaf_groups) ~noised:true
+  in
+  List.iter
+    (fun c -> ignore (Plan.of_circuit c))
+    (update_c :: root_circuit :: Array.to_list leaf_circuits);
   let blocks =
     Array.init n (fun i ->
         Block.create ~ot_mode:cfg.ot_mode ~grp:cfg.grp ~seed ~kp1 ~degree:d ~state_bits:sb
@@ -515,29 +540,19 @@ let run cfg p ~graph ~initial_states =
             combine_at_root
               ~src_blocks:(List.init n (fun i -> blocks.(i).Block.members))
               ~values:(List.init n (fun i -> blocks.(i).Block.state))
-              ~circuit:(Vertex_program.aggregate_circuit p ~count:n))
-    | Two_level fanout ->
-        let groups =
-          let rec chunks start =
-            if start >= n then []
-            else begin
-              let len = min fanout (n - start) in
-              List.init len (fun o -> start + o) :: chunks (start + len)
-            end
-          in
-          Array.of_list (chunks 0)
-        in
+              ~circuit:root_circuit)
+    | Two_level _ ->
         let empty_extra = Array.init kp1 (fun _ -> Bitvec.create 0 false) in
-        let partials = Array.make (Array.length groups) None in
+        let partials = Array.make (Array.length leaf_groups) None in
         (* Leaf groups sum their members' states independently; only the
            root combine (which adds the noise and opens the result) is a
            sequential step. *)
         Phase.run_tasks exec acc Aggregation
           ~task_label:(fun gi -> Printf.sprintf "agg:leaf:%d" gi)
-          ~count:(Array.length groups)
+          ~count:(Array.length leaf_groups)
           ~task:(fun obs gi ->
             let traffic = Traffic.create n in
-            let group = groups.(gi) in
+            let group = leaf_groups.(gi) in
             let leaf_members = blocks.(List.hd group).Block.members in
             let prg = Block.derive_prg ~seed (Printf.sprintf "agg:reshare:leaf:%d" gi) in
             let reshared =
@@ -546,14 +561,14 @@ let run cfg p ~graph ~initial_states =
                 ~dst_members:leaf_members
                 (List.map (fun v -> blocks.(v).Block.state) group)
             in
-            let circuit =
-              Vertex_program.partial_aggregate_circuit p ~count:(List.length group)
-            in
             let session =
               Gmw.create_session ~mode:cfg.ot_mode cfg.grp ~parties:kp1
                 ~seed:(Printf.sprintf "%s:agg:leaf:%d" seed gi)
             in
-            let out = Gmw.eval session circuit ~input_shares:(concat_inputs reshared empty_extra) in
+            let out =
+              Gmw.eval session leaf_circuits.(gi)
+                ~input_shares:(concat_inputs reshared empty_extra)
+            in
             merge_session_traffic traffic session leaf_members;
             { Phase.traffic; payload = (session, leaf_members, out) })
           ~merge:(fun gi (session, leaf_members, out) ->
@@ -566,8 +581,7 @@ let run cfg p ~graph ~initial_states =
                 (Array.map (function Some v -> v | None -> assert false) partials)
             in
             combine_at_root ~src_blocks:(List.map fst parts) ~values:(List.map snd parts)
-              ~circuit:
-                (Vertex_program.combine_circuit p ~count:(List.length parts) ~noised:true))
+              ~circuit:root_circuit)
   in
   let mpc_sessions =
     Array.to_list (Array.map (fun b -> b.Block.session) blocks) @ !agg_sessions

@@ -18,7 +18,24 @@ type t = {
 
 let noise_alpha p = exp (-.p.epsilon /. float_of_int p.sensitivity)
 
+(* A circuit depends only on public parameters: the program and its shape.
+   Circuits are memoized per (program, shape), with the program compared by
+   physical identity — its record holds closures, and the program makers
+   return one shared value per argument tuple — so every run of a shape
+   reuses one circuit and, through [Plan.of_circuit]'s identity memo, one
+   compiled plan. *)
+type shape = Update of int | Partial of int | Combine of int * bool | Aggregate of int
+
+let circuit_limit = 32
+
+let circuits =
+  Dstress_util.Memo.create ~limit:circuit_limit ~equal:(fun (p, s) (p', s') ->
+      p == p' && s = s')
+
+let memoized p shape build = Dstress_util.Memo.find_or_add circuits (p, shape) build
+
 let update_circuit p ~degree =
+  memoized p (Update degree) @@ fun () ->
   let b = Builder.create () in
   let state = Word.inputs b ~bits:p.state_bits in
   let incoming = Array.init degree (fun _ -> Word.inputs b ~bits:p.message_bits) in
@@ -35,6 +52,7 @@ let update_circuit p ~degree =
   Builder.finish b ~outputs:(Array.concat (new_state :: Array.to_list outgoing))
 
 let partial_aggregate_circuit p ~count =
+  memoized p (Partial count) @@ fun () ->
   let b = Builder.create () in
   let states = Array.init count (fun _ -> Word.inputs b ~bits:p.state_bits) in
   let terms = Array.to_list (Array.map (fun s -> p.build_aggregand b ~state:s) states) in
@@ -49,6 +67,7 @@ let noised_sum p b terms =
     ~value:sum ~uniform ~sign
 
 let combine_circuit p ~count ~noised =
+  memoized p (Combine (count, noised)) @@ fun () ->
   let b = Builder.create () in
   let partials = Array.init count (fun _ -> Word.inputs b ~bits:p.agg_bits) in
   let terms = Array.to_list partials in
@@ -58,6 +77,7 @@ let combine_circuit p ~count ~noised =
   Builder.finish b ~outputs:out
 
 let aggregate_circuit p ~count =
+  memoized p (Aggregate count) @@ fun () ->
   let b = Builder.create () in
   let states = Array.init count (fun _ -> Word.inputs b ~bits:p.state_bits) in
   let terms = Array.to_list (Array.map (fun s -> p.build_aggregand b ~state:s) states) in

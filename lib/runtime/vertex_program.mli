@@ -14,7 +14,14 @@
       parameters (sensitivity and epsilon, §4.4–4.5).
 
     The engine instantiates the fragments into {!Dstress_circuit.Circuit}s
-    once per degree bound and evaluates them under GMW inside each block. *)
+    and evaluates them under GMW inside each block. A circuit depends only
+    on public parameters, so each circuit function below builds it once
+    per (program, shape) and returns that same physical circuit on every
+    later call: the memo compares programs by physical identity and keeps
+    the 32 most recently used circuits, under a mutex shared by all
+    domains. A second engine run of one shape therefore rebuilds no
+    circuit and, through {!Dstress_mpc.Plan.of_circuit}, recompiles no
+    plan. *)
 
 type t = {
   name : string;

@@ -775,6 +775,35 @@ let test_ot_ext_words_metering () =
   let col = Ot_ext.kappa * ((total + 7) / 8) and row = 2 * ((total + 7) / 8) in
   Alcotest.(check int) "metered" (col + row) (Xfer.total meter)
 
+(* The Crypto row hash against the formula it replaced (a Printf tag,
+   [Bytes.cat], a fresh digest and a fresh [Prg] per row), on random
+   (j, row, len) through one reused hasher, including indices that gain
+   a digit between calls. *)
+let test_ot_ext_row_hash_formula () =
+  let old_formula j row len =
+    let packed = Bytes.make (Ot_ext.kappa / 8) '\x00' in
+    Array.iteri
+      (fun i b ->
+        if b then
+          Bytes.set packed (i / 8)
+            (Char.chr (Char.code (Bytes.get packed (i / 8)) lor (1 lsl (i mod 8)))))
+      row;
+    let tag = Bytes.of_string (Printf.sprintf "iknp:%d:" j) in
+    Prg.bytes (Prg.create (Sha256.digest (Bytes.cat tag packed))) len
+  in
+  let t = prg "row-hash" in
+  let byte () = Char.code (Bytes.get (Prg.bytes t 1) 0) in
+  let h = Ot_ext.row_hasher () in
+  List.iter
+    (fun j ->
+      let row = Array.init Ot_ext.kappa (fun _ -> Prg.bool t) in
+      let len = 1 + (byte () mod 70) in
+      Alcotest.(check bytes)
+        (Printf.sprintf "j=%d len=%d" j len)
+        (old_formula j row len) (Ot_ext.sha_row_hash h j row len))
+    ([ 0; 9; 10; 99; 100; 12345; 9; max_int ]
+    @ List.init 40 (fun _ -> (byte () * 1000) + byte ()))
+
 let test_ot_ext_words_rejects_bad_width () =
   let session =
     Ot_ext.setup ~mode:Ot_ext.Simulation grp (Xfer.create ()) ~sender_prg:(prg "extwv-s")
@@ -1042,6 +1071,7 @@ let () =
           Alcotest.test_case "word lanes match bits" `Quick test_ot_ext_words_matches_bits;
           Alcotest.test_case "word metering" `Quick test_ot_ext_words_metering;
           Alcotest.test_case "word width validation" `Quick test_ot_ext_words_rejects_bad_width;
+          Alcotest.test_case "crypto row hash formula" `Quick test_ot_ext_row_hash_formula;
         ] );
       ("properties", qsuite);
     ]

@@ -3,6 +3,8 @@ module Prng = Dstress_util.Prng
 module Group = Dstress_crypto.Group
 module Graph = Dstress_runtime.Graph
 module Engine = Dstress_runtime.Engine
+module Vertex_program = Dstress_runtime.Vertex_program
+module Plan = Dstress_mpc.Plan
 open Dstress_risk
 
 let grp = Group.by_name "toy"
@@ -245,6 +247,157 @@ let test_paper_budget () =
   Alcotest.(check bool) "three runs fit" true (float_of_int runs *. eps_q <= eps_max)
 
 (* ------------------------------------------------------------------ *)
+(* Circuit digests                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Golden structural digests ({!Plan.digest}) of the update, aggregate,
+   partial and combine circuits over a grid of EN and EGJ parameters: a
+   base point per model and one row per single-argument change of it.
+   They were recorded before the circuit memo was introduced, so a cached
+   circuit is pinned to the gate list a fresh build produced. To
+   regenerate after an intentional circuit change, run (from the repo
+   root):
+
+     DSTRESS_REGEN_GOLDEN=$PWD/test/golden/circuit_digests.txt \
+       dune exec test/test_risk.exe -- test circuit-digests
+
+   and commit the updated file. *)
+let circuit_golden_path = "golden/circuit_digests.txt"
+
+type grid_point = {
+  label : string;
+  make : unit -> Vertex_program.t;
+  degree : int;
+  count : int;
+}
+
+let en_point ?(l = 12) ?(degree = 3) ?(count = 4) ?(epsilon = 1.0) ?(sensitivity = 20)
+    ?(noise_max = 600) ?(iterations = 1) () =
+  {
+    label =
+      Printf.sprintf "en l=%d degree=%d count=%d eps=%g s=%d nmax=%d it=%d" l degree count
+        epsilon sensitivity noise_max iterations;
+    make = (fun () -> En_program.make ~epsilon ~sensitivity ~noise_max ~l ~degree ~iterations ());
+    degree;
+    count;
+  }
+
+let egj_point ?(l = 16) ?(frac = 6) ?(degree = 3) ?(count = 4) ?(epsilon = 1.0)
+    ?(sensitivity = 20) ?(noise_max = 600) ?(iterations = 1) () =
+  {
+    label =
+      Printf.sprintf "egj l=%d frac=%d degree=%d count=%d eps=%g s=%d nmax=%d it=%d" l frac
+        degree count epsilon sensitivity noise_max iterations;
+    make =
+      (fun () ->
+        Egj_program.make ~epsilon ~sensitivity ~noise_max ~l ~frac ~degree ~iterations ());
+    degree;
+    count;
+  }
+
+let circuit_grid =
+  [
+    en_point ();
+    en_point ~l:8 ();
+    en_point ~degree:2 ();
+    en_point ~count:5 ();
+    en_point ~epsilon:0.23 ();
+    en_point ~sensitivity:10 ();
+    en_point ~noise_max:100 ();
+    egj_point ();
+    egj_point ~l:12 ();
+    egj_point ~frac:4 ();
+    egj_point ~degree:4 ();
+    egj_point ~count:3 ();
+    egj_point ~epsilon:0.23 ();
+    egj_point ~sensitivity:10 ();
+    egj_point ~noise_max:100 ();
+  ]
+
+(* Every circuit kind of a grid point, named as in the golden file. *)
+let point_circuits pt =
+  let p = pt.make () in
+  [
+    ("update", fun () -> Vertex_program.update_circuit p ~degree:pt.degree);
+    ("aggregate", fun () -> Vertex_program.aggregate_circuit p ~count:pt.count);
+    ("partial", fun () -> Vertex_program.partial_aggregate_circuit p ~count:pt.count);
+    ("combine-noised", fun () -> Vertex_program.combine_circuit p ~count:pt.count ~noised:true);
+    ("combine-plain", fun () -> Vertex_program.combine_circuit p ~count:pt.count ~noised:false);
+  ]
+
+(* Digests of the memoized circuits: each is fetched a second time, which
+   must return the first build itself. *)
+let circuit_transcript () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun pt ->
+      List.iter
+        (fun (kind, build) ->
+          let first = build () in
+          let cached = build () in
+          if cached != first then Alcotest.failf "%s %s: second call rebuilt" pt.label kind;
+          Printf.bprintf buf "%s %s %s\n" pt.label kind (Plan.digest (Plan.compile cached)))
+        (point_circuits pt))
+    circuit_grid;
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_circuit_digest_golden () =
+  let current = circuit_transcript () in
+  match Sys.getenv_opt "DSTRESS_REGEN_GOLDEN" with
+  | Some path ->
+      let oc = open_out_bin path in
+      output_string oc current;
+      close_out oc;
+      Printf.printf "regenerated %s\n" path
+  | None -> Alcotest.(check string) "circuit digests" (read_file circuit_golden_path) current
+
+(* The memo's key is complete: equal [make] arguments share one program
+   and its circuits, and a change to any single argument — or to the
+   circuit's own degree, count or noising — yields a physically distinct
+   circuit. *)
+let test_circuit_memo_key () =
+  let base_en () = en_point () and base_egj () = egj_point () in
+  let circuits pt = List.map (fun (kind, build) -> (kind, build ())) (point_circuits pt) in
+  let check_shared label pt =
+    let p1 = pt.make () and p2 = pt.make () in
+    Alcotest.(check bool) (label ^ ": equal arguments share one program") true (p1 == p2);
+    List.iter2
+      (fun (kind, a) (_, b) ->
+        Alcotest.(check bool) (Printf.sprintf "%s %s: one circuit" label kind) true (a == b))
+      (circuits pt) (circuits pt)
+  in
+  check_shared "en base" (base_en ());
+  check_shared "egj base" (base_egj ());
+  (* [count] is a circuit argument, not a [make] one: the program and its
+     update circuit stay shared. *)
+  let check_distinct base variant =
+    let count_only = variant.count <> base.count in
+    Alcotest.(check bool) (variant.label ^ ": program shared iff count-only") count_only
+      (base.make () == variant.make ());
+    List.iter2
+      (fun (kind, a) (_, b) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: circuit shared iff count-only update" variant.label kind)
+          (count_only && kind = "update") (a == b))
+      (circuits base) (circuits variant)
+  in
+  List.iter
+    (fun pt ->
+      let base = if String.starts_with ~prefix:"egj" pt.label then base_egj () else base_en () in
+      if pt.label <> base.label then check_distinct base pt)
+    (en_point ~iterations:2 () :: egj_point ~iterations:2 () :: circuit_grid);
+  let p = (base_en ()).make () in
+  Alcotest.(check bool) "noised and plain combine differ" true
+    (Vertex_program.combine_circuit p ~count:4 ~noised:true
+    != Vertex_program.combine_circuit p ~count:4 ~noised:false)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,6 +464,11 @@ let () =
           Alcotest.test_case "bounds" `Quick test_sensitivity_bounds;
           Alcotest.test_case "units" `Quick test_sensitivity_units;
           Alcotest.test_case "paper budget" `Quick test_paper_budget;
+        ] );
+      ( "circuit-digests",
+        [
+          Alcotest.test_case "golden digests" `Quick test_circuit_digest_golden;
+          Alcotest.test_case "memo key" `Quick test_circuit_memo_key;
         ] );
       ("properties", qsuite);
     ]

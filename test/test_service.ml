@@ -411,6 +411,34 @@ let test_pool_differential () =
     (Metrics.counter m "service.requests_dispatched" >= n);
   Service.shutdown_pool pool
 
+(* One worker serves two requests of one shape in turn: the second finds
+   the program, its circuits and their plans warm in the worker's memos,
+   and must still export byte-identically to the first and to the solo
+   oracle. *)
+let test_pool_warm_worker () =
+  let pool = Service.create_pool ~opts:{ quick_opts with Pool.workers = 1 } ~handler () in
+  let req = { base_request with Service.seed = 31 } in
+  let results = Array.make 2 None in
+  let pending = ref 2 in
+  for i = 0 to 1 do
+    match
+      Service.submit pool req (fun resp ->
+          results.(i) <- Some resp;
+          decr pending)
+    with
+    | `Queued -> ()
+    | `Queue_full | `No_workers -> Alcotest.failf "submit %d rejected" i
+  done;
+  run_pool_until pool ~pending ~deadline:120.0;
+  let summary i =
+    match results.(i) with
+    | Some (Service.Completed s) -> s
+    | _ -> Alcotest.failf "request %d did not complete" i
+  in
+  check_summary_equal "warm = cold" (summary 0) (summary 1);
+  check_summary_equal "cold = solo" (oracle req) (summary 0);
+  Service.shutdown_pool pool
+
 let test_pool_queue_backpressure () =
   let opts = { quick_opts with Pool.workers = 1; queue_depth = 2 } in
   let pool = Service.create_pool ~opts ~handler () in
@@ -765,6 +793,7 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "differential vs solo" `Slow test_pool_differential;
+          Alcotest.test_case "warm worker" `Quick test_pool_warm_worker;
           Alcotest.test_case "queue backpressure" `Quick test_pool_queue_backpressure;
           Alcotest.test_case "handler failure typed" `Slow test_pool_handler_failure_is_typed;
         ] );

@@ -585,6 +585,56 @@ let test_chaos_soak () =
     [ 1; 2; 3 ];
   Alcotest.(check bool) "the soak actually exercised wire faults" true (!wire_fired > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Warm run = cold run: the circuit memo changes no tick               *)
+(* ------------------------------------------------------------------ *)
+
+(* Under each executor, a second run of one shape builds no circuit and
+   compiles no plan — the coordinator finds every circuit in the
+   Vertex_program memo and every plan in the Plan memo — and exports
+   byte-identically to the first, cold run. Each executor gets its own
+   program (a distinct noise bound), so its first run is really cold.
+   Counters only, no wall-clock. The parallel executor spawns domains,
+   after which this process can no longer fork: it runs last, and this
+   group is the last of the suite. *)
+let test_warm_equals_cold () =
+  let graph = En_program.graph_of_instance small_economy in
+  let d = Graph.max_degree graph in
+  let states = En_program.encode_instance small_economy ~graph ~l:12 ~degree:d ~scale:0.25 in
+  List.iteri
+    (fun i (name, executor) ->
+      let p =
+        En_program.make ~epsilon:50.0 ~sensitivity:1 ~noise_max:(40 + i) ~l:12 ~degree:d
+          ~iterations:2 ()
+      in
+      List.iter
+        (fun (agg_name, aggregation) ->
+          let label = Printf.sprintf "%s %s" name agg_name in
+          let run () =
+            let cfg =
+              { (Engine.default_config grp ~k:2 ~degree_bound:d ~seed:"warm-cold") with
+                Engine.executor; aggregation; obs_level = Obs.Full }
+            in
+            Engine.run cfg p ~graph ~initial_states:states
+          in
+          let c0 = Dstress_mpc.Plan.compilations () in
+          let cold = run () in
+          let update = Vertex_program.update_circuit p ~degree:d in
+          let c1 = Dstress_mpc.Plan.compilations () in
+          let warm = run () in
+          let c2 = Dstress_mpc.Plan.compilations () in
+          Alcotest.(check bool) (label ^ ": cold run compiles its new circuits") true (c1 > c0);
+          Alcotest.(check int) (label ^ ": warm run compiles nothing") 0 (c2 - c1);
+          Alcotest.(check bool) (label ^ ": same update circuit") true
+            (update == Vertex_program.update_circuit p ~degree:d);
+          check_exports_equal (label ^ ": warm = cold") cold warm)
+        [ ("single-block", Engine.Single_block); ("two-level", Engine.Two_level 3) ])
+    [
+      ("distributed:2", distributed_exec ());
+      ("sequential", Executor.sequential);
+      ("parallel:3", Executor.parallel ~jobs:3);
+    ]
+
 let () =
   Alcotest.run "transport"
     [
@@ -624,4 +674,7 @@ let () =
           Alcotest.test_case "EGJ exports byte-identical" `Quick test_differential_egj;
         ] );
       ("chaos", [ Alcotest.test_case "EN n20 wire-fault soak" `Slow test_chaos_soak ]);
+      (* Must stay last: it spawns domains (see test_warm_equals_cold). *)
+      ( "warm circuits",
+        [ Alcotest.test_case "warm run = cold run" `Quick test_warm_equals_cold ] );
     ]

@@ -306,6 +306,43 @@ let prop_hex_roundtrip =
       let b = Bytes.of_string s in
       Bytes.equal (Hex.decode (Hex.encode b)) b)
 
+(* ------------------------------------------------------------------ *)
+(* Memo                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_memo_lru () =
+  let m = Memo.create ~limit:2 ~equal:String.equal in
+  let builds = ref 0 in
+  let get k =
+    Memo.find_or_add m k (fun () ->
+        incr builds;
+        k ^ "!")
+  in
+  ignore (get "a");
+  ignore (get "b");
+  ignore (get "a");
+  Alcotest.(check int) "hit builds nothing" 2 !builds;
+  ignore (get "c");
+  ignore (get "a");
+  Alcotest.(check int) "recently used entry kept" 3 !builds;
+  ignore (get "b");
+  Alcotest.(check int) "least recently used entry dropped" 4 !builds;
+  (match Memo.find_or_add m "x" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "a builder's exception must propagate"
+  | exception Failure _ -> ());
+  ignore (get "a");
+  ignore (get "b");
+  Alcotest.(check int) "a failed build evicts nothing" 4 !builds;
+  Alcotest.check_raises "limit >= 1" (Invalid_argument "Memo.create: limit must be >= 1")
+    (fun () -> ignore (Memo.create ~limit:0 ~equal:( = )))
+
+(* Domains racing on one key all get the value inserted first. *)
+let test_memo_first_insert_wins () =
+  let m = Memo.create ~limit:4 ~equal:( = ) in
+  let get () = Memo.find_or_add m 7 (fun () -> ref (Domain.self ())) in
+  let got = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn get)) in
+  List.iter (fun v -> Alcotest.(check bool) "one physical value" true (v == get ())) got
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
       [ prop_bitvec_int_roundtrip; prop_bitvec_xor_comm; prop_hex_roundtrip ]
@@ -328,6 +365,11 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_is_permutation;
           Alcotest.test_case "bool_words matches bool stream" `Quick
             test_prng_bool_words_differential;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "bounded LRU" `Quick test_memo_lru;
+          Alcotest.test_case "first insert wins" `Quick test_memo_first_insert_wins;
         ] );
       ( "bitvec",
         [
